@@ -76,26 +76,25 @@ def replay_fixture(
     circuit: str,
     device_name: str,
     moves: int,
-    backend: str = "object",
     seed: int = 1999,
 ):
     """A real mid-run partition state plus a recorded random move trace.
 
     Runs FPART once on ``circuit``/``device_name`` and rebuilds its final
-    assignment as a fresh state of the requested substrate, so every
-    bench case times the same workload shape (``k`` matches a real run).
+    assignment as a fresh state, so every bench case times the same
+    workload shape (``k`` matches a real run).
     Returns ``(hg, device, state, k, trace)`` with ``trace`` a list of
     ``(cell, to_block)`` pairs drawn from a fixed-seed RNG.
     """
     from repro.circuits import mcnc_circuit
     from repro.core import FpartConfig, device_by_name, fpart
-    from repro.core.backend import make_state
+    from repro.partition import PartitionState
 
     hg = mcnc_circuit(circuit)
     device = device_by_name(device_name)
     result = fpart(hg, device, config=FpartConfig())
     k = result.num_devices
-    state = make_state(hg, result.assignment, k, backend)
+    state = PartitionState(hg, result.assignment, k)
     rng = random.Random(seed)
     trace = [
         (rng.randrange(hg.num_cells), rng.randrange(k)) for _ in range(moves)

@@ -32,7 +32,7 @@ from ..core import (
     UnpartitionableError,
     classify,
 )
-from ..core.cost import IncrementalCostEvaluator, make_evaluator
+from ..core.cost import make_evaluator
 from ..core.feasibility import Feasibility
 from ..hypergraph import Hypergraph
 from ..partition import PartitionState
@@ -86,8 +86,7 @@ def _anneal_once(
     evaluator = make_evaluator(device, config, m, hg.num_terminals)
     assignment = [rng.randrange(k) for _ in range(hg.num_cells)]
     state = PartitionState.from_assignment(hg, assignment, k)
-    if isinstance(evaluator, IncrementalCostEvaluator):
-        evaluator.attach(state)
+    evaluator.attach(state)
 
     energy = _energy(state, evaluator, device)
     best_energy = energy

@@ -29,7 +29,7 @@ from ..obs.metrics import (
     MetricsRegistry,
 )
 from ..partition import PartitionState
-from .buckets import FlatGainBuckets, GainBuckets
+from .buckets import GainBuckets
 from .gains import move_gain
 
 __all__ = ["FmResult", "FmBipartitioner", "fm_refine"]
@@ -139,20 +139,10 @@ class FmBipartitioner:
         """
         state = self.state
         hg = state.hg
-        if state.flat_counts is not None:
-            # Flat backend: index-linked free lists, O(1) removal.  The
-            # insertion/pop order is identical to GainBuckets (asserted
-            # by tests/test_flat_core.py), so the refinement trajectory
-            # is bit-for-bit the same.
-            buckets = {
-                self.block_a: FlatGainBuckets(self._max_deg, hg.num_cells),
-                self.block_b: FlatGainBuckets(self._max_deg, hg.num_cells),
-            }
-        else:
-            buckets = {
-                self.block_a: GainBuckets(self._max_deg),
-                self.block_b: GainBuckets(self._max_deg),
-            }
+        buckets = {
+            self.block_a: GainBuckets(self._max_deg, hg.num_cells),
+            self.block_b: GainBuckets(self._max_deg, hg.num_cells),
+        }
         free = set(self.cells)
         for c in self.cells:
             f = state.block_of(c)

@@ -16,9 +16,9 @@ once per worker anyway).
 
 Entry order is identical to the object representation — ``net_pins``
 keeps each net's pin tuple order, ``cell_nets`` keeps each cell's net
-tuple order — so flat-path algorithms iterate pins/nets in exactly the
-same sequence as object-path ones, which is part of the backend
-bit-identity contract (see ``repro.testing.differential``).
+tuple order — so CSR walks visit pins/nets in exactly the sequence of
+``Hypergraph.pins_of`` / ``nets_of``, which the tie-breaks of the
+partition core depend on.
 """
 
 from __future__ import annotations

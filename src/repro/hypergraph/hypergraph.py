@@ -125,7 +125,7 @@ class Hypergraph:
             [None] * num_cells
         )
         # Frozen CSR incidence view (four flat array('i') buffers), built
-        # once here and shared read-only by the flat partition backend.
+        # once here and shared read-only by the partition core.
         self._csr = CsrView(self._nets, self._cell_nets)
 
         if net_drivers is None:

@@ -1,21 +1,16 @@
 """Constructive initial-partition creation (section 3.2)."""
 
-from .flat_build import (
-    FLAT_BUILDERS,
-    flat_greedy_merge_bipartition,
-    flat_ratio_cut_bipartition,
-    flat_seed_grow_bipartition,
-)
-from .greedy_merge import greedy_merge_bipartition
-from .growing import GrowingBlock
-from .initial import BUILDERS, build_candidate, create_bipartition
-from .ratio_cut import (
+from .builders import (
+    BUILDERS,
     SweepResult,
+    greedy_merge_bipartition,
     ratio_cut_bipartition,
     ratio_cut_sweep,
+    seed_grow_bipartition,
     swept_net_totals,
 )
-from .seed_grow import seed_grow_bipartition
+from .growing import GrowingBlock
+from .initial import build_candidate, create_bipartition
 from .seeds import SEED_POOL_SIZE, bfs_distances_within, select_seeds
 
 __all__ = [
@@ -32,8 +27,4 @@ __all__ = [
     "BUILDERS",
     "build_candidate",
     "create_bipartition",
-    "FLAT_BUILDERS",
-    "flat_greedy_merge_bipartition",
-    "flat_ratio_cut_bipartition",
-    "flat_seed_grow_bipartition",
 ]

@@ -1,61 +1,115 @@
-"""Flat CSR-backed constructive builders (``backend="flat"`` twins).
+"""Constructive bipartition builders (section 3.2) on the CSR substrate.
 
-The object builders in ``ratio_cut`` / ``greedy_merge`` / ``seed_grow``
-are the bit-identity oracle; this module re-implements them over the
-:class:`~repro.hypergraph.csr.CsrView` flat buffers with O(1)-amortized
-candidate selection, the same treatment PR 6 gave the improvement loop:
+Three builders split a cell set into the produced block ``P_k`` and the
+rest; all read the hypergraph through its
+:class:`~repro.hypergraph.csr.CsrView` list mirrors.  Block pins follow
+the :class:`~repro.initial.GrowingBlock` semantics: a net touching the
+block contributes one pin iff it also reaches anything outside it (an
+interior cell anywhere, or a primary I/O pad).
 
-* ratio-cut sweep — ``net_total`` / ``in_a`` become dense integer lists
-  indexed by net (shared across the two seed sweeps of one
-  bipartition), and the per-move ``max(gains, ...)`` scan over the whole
-  B side becomes a :class:`~repro.fm.buckets.FlatGainBuckets` keyed by
-  integer gain; only the top bucket is scanned for the secondary
-  ``(cell_size, -index)`` tie-break, which is exactly equivalent
-  because the object key ``(gain, cell_size, -index)`` is a total
-  order.
+* **Ratio-cut sweep** (after Wei–Cheng [15]).  From a seed as side A,
+  cells move from B to A one at a time, the candidate maximizing
+  ``(gain, cell_size, -index)`` first, where ``gain`` is the cut
+  reduction and the candidates are the B cells sharing a net with A.
+  With no candidate (disconnected circuits) the sweep jumps to the B
+  cell maximizing ``(cell_size, -index)``.  After every move the ratio
+  ``R = C / (S(A) * S(B))`` is evaluated; the prefix with the strictly
+  smallest ratio *among prefixes where at least one side fits the
+  device* wins, and its fitting side (the bigger one when both fit)
+  becomes ``P_k``.  The sweep runs from each of the two seeds and the
+  smaller ratio wins.
+* **Greedy two-seed merge** (after Brasen/Hiol/Saucier [1]).  Two
+  blocks grow alternately, one cell each per round, which "slightly
+  alleviates the greedy tendency" of single-block growth.  A block adds
+  the frontier cell (unassigned, sharing a net with the block) that
+  fits under ``S_MAX`` and maximizes ``(S / T, cell_size, -index)`` for
+  the block it would form (``T = 0`` scores infinitely dense); with no
+  fitting frontier cell it jumps to the unassigned cell maximizing
+  ``(cell_size, -index)`` that still fits, and otherwise saturates.
+  The bigger block (then fewer pins, then the first seed's) is ``P_k``.
+* **Single-seed growing.**  One block grows from the primary seed by the
+  same merge score until nothing more fits or one cell is left, so the
+  split is always proper.  Its greedy bias makes it a diverse portfolio
+  member; it joins the portfolio only on seeded runs, keeping the
+  default ``seed=0`` trajectory on the historical two builders.
 
+Selection structures:
+
+* ratio-cut — ``net_total`` / ``in_a`` are dense integer lists indexed
+  by net (shared across the two seed sweeps of one bipartition), and
+  candidate gains live in a :class:`~repro.fm.buckets.GainBuckets`
+  keyed by integer gain and adjusted incrementally; only the top bucket
+  is scanned for the secondary ``(cell_size, -index)`` tie-break, which
+  is exact because ``(gain, cell_size, -index)`` is a total order.
 * greedy merge / seed grow — the frontier's pin-delta previews are kept
-  *incrementally* (counter-based: when a cell joins, only the nets it
-  touches change any candidate's delta, and all outside candidates on a
-  net share the same contribution change), and the per-step
-  O(|frontier|) ``pick()`` scan becomes a scan over buckets keyed by
-  the invariant pair ``(cell_size, pin_delta)``.  The merge score
-  ``S/T`` depends on the *current* block size and pin count, so a
-  single lazily-invalidated heap over scores would go stale on every
-  add; bucketing by ``(size, delta)`` keeps every bucket's score
-  computable in O(1) at pick time, and the within-bucket tie-break
+  *incrementally* (when a cell joins, only the nets it touches change
+  any candidate's delta, and all outside candidates on a net share the
+  same contribution change), and candidates are bucketed by the
+  invariant pair ``(cell_size, pin_delta)``.  The merge score ``S/T``
+  depends on the *current* block size and pin count, so one score per
+  bucket is computed at pick time, and the within-bucket tie-break
   (same score, same size ⇒ lowest index wins) reduces to the bucket's
   minimum live index, held in a per-bucket lazy-deletion min-heap.
 
-Determinism: every selection reproduces the object tie-break key
-exactly — the per-step differential harness
-(:func:`repro.testing.differential.run_constructive_differential`) and
-the whole-run ``assignments_identical`` checks in
-``tests/test_constructive_flat.py`` enforce it.
+Every builder accepts ``trace``, a list collecting one fingerprint tuple
+per step (``("rc", …)``, ``("gm", …)``, ``("sg", …)``);
+:func:`repro.testing.oracle.check_builder_trace` replays those traces
+against a brute-force recompute of every candidate set and score.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Iterable, List, Optional, Set
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..core.device import Device
-from ..fm.buckets import FlatGainBuckets
+from ..fm.buckets import GainBuckets
 from ..hypergraph import Hypergraph
-from .ratio_cut import SweepResult
 from .seeds import select_seeds
 
 __all__ = [
-    "FLAT_BUILDERS",
-    "flat_greedy_merge_bipartition",
-    "flat_ratio_cut_bipartition",
-    "flat_seed_grow_bipartition",
+    "BUILDERS",
+    "SweepResult",
+    "greedy_merge_bipartition",
+    "ratio_cut_bipartition",
+    "ratio_cut_sweep",
+    "seed_grow_bipartition",
+    "swept_net_totals",
 ]
 
 
-class _FlatContext:
-    """Per-builder-call flat views shared by sweeps and growers.
+@dataclass(frozen=True)
+class SweepResult:
+    """Best prefix of one ratio-cut sweep."""
+
+    subset: Tuple[int, ...]
+    """The produced block ``P_k`` — the feasible side of the best prefix
+    (the bigger side when both fit)."""
+    ratio: float
+    """The ratio ``R`` at the best prefix (``inf`` when no prefix had a
+    feasible side)."""
+    feasible: bool
+    """Whether any prefix had a side meeting device constraints."""
+
+
+def swept_net_totals(hg: Hypergraph, cells: Sequence[int]) -> List[int]:
+    """Pins of each net inside the swept cell set (dense, by net).
+
+    Constant for the whole bipartition, so :func:`ratio_cut_bipartition`
+    computes it once and shares it across its two seed sweeps.
+    """
+    _, _, cell_off, cell_nets = hg.csr.list_mirrors()
+    tot = [0] * hg.num_nets
+    for c in cells:
+        for k in range(cell_off[c], cell_off[c + 1]):
+            tot[cell_nets[k]] += 1
+    return tot
+
+
+class _Context:
+    """Per-builder-call CSR views shared by sweeps and growers.
 
     Holds the CSR list mirrors plus ``thr``, the per-net pin threshold
     that folds :meth:`GrowingBlock._net_counts_pin` into one compare:
@@ -93,41 +147,33 @@ class _FlatContext:
         ]
         self.tot = None
 
-    def prepare_sweep(self) -> None:
-        """Build the swept-set net totals shared by both seed sweeps."""
+    def prepare_sweep(self, tot: Optional[List[int]] = None) -> None:
+        """Set up the swept-set state shared by both seed sweeps.
+
+        ``tot`` is :func:`swept_net_totals` of the cell list, computed
+        here unless the caller already has it.
+        """
+        if tot is None:
+            tot = swept_net_totals(self.hg, self.cell_list)
         cell_off = self.cell_off
-        cell_nets = self.cell_nets
         cell_sizes = self.cell_sizes
         thr = self.thr
-        tot = [0] * self.num_nets
-        touched: List[int] = []
-        max_deg = 0
-        swept_size = 0
-        for c in self.cell_list:
-            swept_size += cell_sizes[c]
-            start = cell_off[c]
-            end = cell_off[c + 1]
-            if end - start > max_deg:
-                max_deg = end - start
-            for k in range(start, end):
-                e = cell_nets[k]
-                if not tot[e]:
-                    touched.append(e)
-                tot[e] += 1
         self.tot = tot
-        self.max_deg = max_deg
-        self.swept_size = swept_size
-        self.swept_pins = sum(1 for e in touched if tot[e] < thr[e])
+        self.max_deg = max(
+            (cell_off[c + 1] - cell_off[c] for c in self.cell_list), default=0
+        )
+        self.swept_size = sum(cell_sizes[c] for c in self.cell_list)
+        self.swept_pins = sum(
+            1 for e, t in enumerate(tot) if 0 < t < thr[e]
+        )
 
 
-class _FlatSweep:
-    """Flat twin of ``ratio_cut._Sweep`` plus its gains cache.
+class _Sweep:
+    """One ratio-cut sweep: side-A/B bookkeeping plus candidate gains.
 
-    The object path keeps candidate gains in a dict refreshed around
-    each move and scans the whole dict per pick; here the same values
-    live in a :class:`FlatGainBuckets` adjusted incrementally (gains
-    only change on nets of the moved cell, and every B-side pin of such
-    a net shifts by the same per-net amount).
+    Candidate gains live in a :class:`GainBuckets` adjusted
+    incrementally (gains only change on nets of the moved cell, and
+    every B-side pin of such a net shifts by the same per-net amount).
     """
 
     __slots__ = (
@@ -136,7 +182,7 @@ class _FlatSweep:
         "_stamp", "_acc", "_token",
     )
 
-    def __init__(self, ctx: _FlatContext) -> None:
+    def __init__(self, ctx: _Context) -> None:
         self.ctx = ctx
         num_cells = ctx.num_cells
         self.in_a = [0] * ctx.num_nets
@@ -150,7 +196,7 @@ class _FlatSweep:
         self.b_size = ctx.swept_size
         self.b_pins = ctx.swept_pins
         self.b_count = len(ctx.cell_list)
-        self.gains = FlatGainBuckets(ctx.max_deg, num_cells)
+        self.gains = GainBuckets(ctx.max_deg, num_cells)
         self._stamp = [-1] * num_cells
         self._acc = [0] * num_cells
         self._token = 0
@@ -198,9 +244,9 @@ class _FlatSweep:
         sz = ctx.cell_sizes[cell]
         self.a_size += sz
         self.b_size -= sz
-        # Refresh candidates around the move (the object refresh_around
-        # set): present candidates shift by the accumulated per-net
-        # deltas, first-touched ones get a full gain computation.
+        # Refresh candidates around the move: present candidates shift
+        # by the accumulated per-net deltas, first-touched ones get a
+        # full gain computation.
         token = self._token = self._token + 1
         stamp = self._stamp
         acc = self._acc
@@ -224,7 +270,7 @@ class _FlatSweep:
                 gains.insert(v, self._gain_of(v))
 
     def _gain_of(self, v: int) -> int:
-        """Full gain of a B-side candidate (object ``_Sweep.gain``)."""
+        """Full gain (cut reduction) of moving a B-side candidate to A."""
         ctx = self.ctx
         cell_off = ctx.cell_off
         cell_nets = ctx.cell_nets
@@ -245,8 +291,7 @@ class _FlatSweep:
 
         Only the top gain bucket needs the secondary scan; when no
         candidate is adjacent (disconnected circuits) the jump branch
-        picks the biggest remaining B cell, exactly like the object
-        fallback.
+        picks the biggest remaining B cell, lowest index on ties.
         """
         gains = self.gains
         cell_sizes = self.ctx.cell_sizes
@@ -269,14 +314,14 @@ class _FlatSweep:
         return best
 
 
-def _flat_sweep(
-    ctx: _FlatContext,
+def _sweep(
+    ctx: _Context,
     device: Device,
     seed: int,
     trace: Optional[list],
 ) -> SweepResult:
-    """One ratio-cut sweep on the flat substrate."""
-    sweep = _FlatSweep(ctx)
+    """One ratio-cut sweep from ``seed`` over the prepared context."""
+    sweep = _Sweep(ctx)
     sweep.move(seed)
     if trace is not None:
         trace.append(
@@ -336,23 +381,50 @@ def _flat_sweep(
     return result
 
 
-def flat_ratio_cut_bipartition(
+def ratio_cut_sweep(
+    hg: Hypergraph,
+    cells: Sequence[int],
+    device: Device,
+    seed: int,
+    net_total: Optional[List[int]] = None,
+    trace: Optional[list] = None,
+) -> SweepResult:
+    """Sweep from one seed; returns the best feasible-side prefix.
+
+    ``net_total`` optionally supplies :func:`swept_net_totals` of
+    ``cells`` (read, never mutated); ``trace`` optionally collects one
+    fingerprint tuple per move.
+    """
+    cell_list = sorted(set(cells))
+    if seed not in cell_list:
+        raise ValueError("seed must belong to the swept cells")
+    ctx = _Context(hg, cell_list)
+    ctx.prepare_sweep(net_total)
+    return _sweep(ctx, device, seed, trace)
+
+
+def ratio_cut_bipartition(
     hg: Hypergraph,
     cells: Iterable[int],
     device: Device,
     rng: Optional[random.Random] = None,
     trace: Optional[list] = None,
 ) -> Optional[Set[int]]:
-    """Flat twin of :func:`repro.initial.ratio_cut_bipartition`."""
+    """Best-of-two-seeds ratio-cut bipartition of ``cells``.
+
+    Returns the produced block ``P_k`` or ``None`` when no sweep prefix
+    had a feasible side (the greedy-merge pass then decides alone).
+    ``rng`` perturbs the sweep-seed choice (see ``initial.seeds``).
+    """
     cell_list = sorted(set(cells))
     if len(cell_list) < 2:
         raise ValueError("cannot bipartition fewer than two cells")
     seed1, seed2 = select_seeds(hg, cell_list, rng=rng)
-    ctx = _FlatContext(hg, cell_list)
+    ctx = _Context(hg, cell_list)
     ctx.prepare_sweep()
     results = [
-        _flat_sweep(ctx, device, seed1, trace),
-        _flat_sweep(ctx, device, seed2, trace),
+        _sweep(ctx, device, seed1, trace),
+        _sweep(ctx, device, seed2, trace),
     ]
     results = [
         r for r in results if r.feasible and 0 < len(r.subset) < len(cell_list)
@@ -379,8 +451,8 @@ class _GrowState:
         self.cell_list = cell_list
 
 
-class _FlatGrower:
-    """Flat twin of ``greedy_merge._Grower``.
+class _Grower:
+    """One growing block plus its bucketed candidate frontier.
 
     Frontier candidates are bucketed by ``(cell_size, pin_delta)`` —
     both invariant between adds that don't touch the candidate — so the
@@ -388,7 +460,7 @@ class _FlatGrower:
     per-step frontier scan drops to the number of distinct buckets.
     Each bucket keeps its minimum live cell index in a lazy-deletion
     min-heap (entries go stale on rebucket/removal and are popped when
-    next seen), which resolves the object path's ``-cell`` tie-break.
+    next seen), which resolves the ``-index`` tie-break.
     """
 
     __slots__ = (
@@ -397,7 +469,7 @@ class _FlatGrower:
         "_stamp", "_acc", "_token", "_seed_changed",
     )
 
-    def __init__(self, ctx: _FlatContext, seed: int, s_max: float) -> None:
+    def __init__(self, ctx: _Context, seed: int, s_max: float) -> None:
         num_cells = ctx.num_cells
         self.ctx = ctx
         self.s_max = s_max
@@ -441,7 +513,7 @@ class _FlatGrower:
         return changed
 
     def _delta_of(self, v: int) -> int:
-        """Full pin-delta preview (object ``GrowingBlock.preview_add``)."""
+        """Full pin-delta preview of adding ``v`` to the block."""
         ctx = self.ctx
         cell_off = ctx.cell_off
         cell_nets = ctx.cell_nets
@@ -497,9 +569,9 @@ class _FlatGrower:
     def _propagate(self, changed, flags: bytearray) -> None:
         """Push per-net contrib deltas to the unassigned neighbourhood.
 
-        Mirrors the object ``extend_frontier``: every unassigned pin of
-        a touched net is (re)considered — present frontier members
-        shift by the accumulated delta, new ones get a full preview.
+        Every unassigned pin of a touched net is (re)considered —
+        present frontier members shift by the accumulated delta, new
+        ones get a full preview.
         """
         ctx = self.ctx
         net_off = ctx.net_off
@@ -529,7 +601,7 @@ class _FlatGrower:
                 self._insert(v, self._delta_of(v))
 
     def extend_initial(self, flags: bytearray) -> None:
-        """Seed the frontier (the driver's first ``extend_frontier``)."""
+        """Seed the frontier with the seed's unassigned neighbours."""
         self._propagate(self._seed_changed, flags)
 
     def add(self, cell: int, flags: bytearray) -> None:
@@ -580,7 +652,7 @@ class _FlatGrower:
         return best if best >= 0 else None
 
     def grow(
-        self, st: _GrowState, other: Optional["_FlatGrower"]
+        self, st: _GrowState, other: Optional["_Grower"]
     ) -> Optional[int]:
         """Add one cell if possible; returns the added cell or None."""
         if self.saturated:
@@ -598,23 +670,30 @@ class _FlatGrower:
         return cell
 
 
-def flat_greedy_merge_bipartition(
+def greedy_merge_bipartition(
     hg: Hypergraph,
     cells: Iterable[int],
     device: Device,
     rng: Optional[random.Random] = None,
     trace: Optional[list] = None,
 ) -> Set[int]:
-    """Flat twin of :func:`repro.initial.greedy_merge_bipartition`."""
+    """Split ``cells`` constructively; returns the produced block ``P_k``.
+
+    The returned set is the bigger of the two grown blocks (ties prefer
+    fewer pins, then the block of the first seed); the complement within
+    ``cells`` is the remainder.  Always a proper non-empty subset.
+    ``rng`` perturbs the growth-seed choice (see ``initial.seeds``);
+    ``None`` is the canonical deterministic path.
+    """
     cell_list = sorted(set(cells))
     if len(cell_list) < 2:
         raise ValueError("cannot bipartition fewer than two cells")
     seed1, seed2 = select_seeds(hg, cell_list, rng=rng)
-    ctx = _FlatContext(hg, cell_list)
+    ctx = _Context(hg, cell_list)
     st = _GrowState(ctx.num_cells, cell_list, (seed1, seed2))
 
-    grower_a = _FlatGrower(ctx, seed1, device.s_max)
-    grower_b = _FlatGrower(ctx, seed2, device.s_max)
+    grower_a = _Grower(ctx, seed1, device.s_max)
+    grower_b = _Grower(ctx, seed2, device.s_max)
     grower_a.extend_initial(st.flags)
     grower_b.extend_initial(st.flags)
 
@@ -634,28 +713,35 @@ def flat_greedy_merge_bipartition(
             break
 
     a, b = grower_a, grower_b
+    # Bigger block becomes P_k; at equal size prefer the denser one.
     if (a.size, -a.pins) >= (b.size, -b.pins):
         return set(a.members)
     return set(b.members)
 
 
-def flat_seed_grow_bipartition(
+def seed_grow_bipartition(
     hg: Hypergraph,
     cells: Iterable[int],
     device: Device,
     rng: Optional[random.Random] = None,
     trace: Optional[list] = None,
 ) -> Set[int]:
-    """Flat twin of :func:`repro.initial.seed_grow_bipartition`."""
+    """Grow one block from the primary seed; returns ``P_k``.
+
+    Always a proper non-empty subset of ``cells`` (growth stops one
+    cell short of swallowing everything).  ``rng`` perturbs the seed
+    choice exactly as in the sibling builders.
+    """
     cell_list = sorted(set(cells))
     if len(cell_list) < 2:
         raise ValueError("cannot bipartition fewer than two cells")
     seed1, _seed2 = select_seeds(hg, cell_list, rng=rng)
-    ctx = _FlatContext(hg, cell_list)
+    ctx = _Context(hg, cell_list)
     st = _GrowState(ctx.num_cells, cell_list, (seed1,))
 
-    grower = _FlatGrower(ctx, seed1, device.s_max)
+    grower = _Grower(ctx, seed1, device.s_max)
     grower.extend_initial(st.flags)
+    # Keep at least one cell outside so the split is always proper.
     while st.remaining > 1:
         cell = grower.pick(st)
         if cell is None:
@@ -669,9 +755,10 @@ def flat_seed_grow_bipartition(
     return set(grower.members)
 
 
-#: builder name -> flat implementation, mirroring ``initial.BUILDERS``.
-FLAT_BUILDERS = {
-    "greedy_merge": flat_greedy_merge_bipartition,
-    "ratio_cut": flat_ratio_cut_bipartition,
-    "seed_grow": flat_seed_grow_bipartition,
+#: The constructive builder portfolio by name, in portfolio order.
+#: ``seed_grow`` participates only on seeded runs.
+BUILDERS = {
+    "greedy_merge": greedy_merge_bipartition,
+    "ratio_cut": ratio_cut_bipartition,
+    "seed_grow": seed_grow_bipartition,
 }

@@ -25,30 +25,17 @@ fallback still guarantees progress when every builder fails.
 from __future__ import annotations
 
 import random
-from typing import Callable, List, Optional, Set, Tuple
+from typing import List, Optional, Set
 
 from ..core.cost import CostEvaluator
 from ..core.device import Device
 from ..core.exceptions import UnpartitionableError
 from ..hypergraph import Hypergraph
 from ..obs.metrics import MetricsRegistry, NULL_METRICS
-from ..partition import FlatPartitionState, PartitionState
-from .flat_build import FLAT_BUILDERS
-from .greedy_merge import greedy_merge_bipartition
-from .ratio_cut import ratio_cut_bipartition
-from .seed_grow import seed_grow_bipartition
+from ..partition import PartitionState
+from .builders import BUILDERS
 
 __all__ = ["BUILDERS", "build_candidate", "create_bipartition"]
-
-#: The constructive builder portfolio, in deterministic portfolio order.
-#: ``seed_grow`` participates only on seeded runs (see module docstring).
-BUILDERS: Tuple[Tuple[str, Callable], ...] = (
-    ("greedy_merge", greedy_merge_bipartition),
-    ("ratio_cut", ratio_cut_bipartition),
-    ("seed_grow", seed_grow_bipartition),
-)
-
-_BUILDER_BY_NAME = dict(BUILDERS)
 
 
 def build_candidate(
@@ -57,22 +44,16 @@ def build_candidate(
     cells: List[int],
     device: Device,
     rng_seed: Optional[int],
-    backend: str = "object",
 ) -> Optional[frozenset]:
     """Run one builder; picklable entry point for pool workers.
 
     The builder's rng is reconstructed from ``rng_seed`` (an integer
     drawn by the caller from the run's root rng, in portfolio order),
     so concurrent construction consumes exactly the same random draws
-    as serial construction.  ``backend`` selects the flat CSR builder
-    twins (``initial.flat_build``) — bit-identical to the object ones,
-    so the choice never changes the result.  Returns ``None`` when the
-    builder produced no usable proper subset.
+    as serial construction.  Returns ``None`` when the builder produced
+    no usable proper subset.
     """
-    if backend == "flat":
-        builder = FLAT_BUILDERS[name]
-    else:
-        builder = _BUILDER_BY_NAME[name]
+    builder = BUILDERS[name]
     rng = random.Random(rng_seed) if rng_seed is not None else None
     subset = builder(hg, cells, device, rng=rng)
     if subset is None or not 0 < len(subset) < len(cells):
@@ -95,7 +76,6 @@ def _construct_candidates(
     rng: Optional[random.Random],
     jobs: int,
     metrics: MetricsRegistry = NULL_METRICS,
-    backend: str = "object",
 ) -> List[Set[int]]:
     """All valid candidate subsets, in portfolio order, deduplicated.
 
@@ -125,7 +105,7 @@ def _construct_candidates(
                     ParallelTask(
                         index=i,
                         fn=build_candidate,
-                        args=(name, hg, cells, device, seeds[i], backend),
+                        args=(name, hg, cells, device, seeds[i]),
                         label=name,
                     )
                     for i, name in enumerate(names)
@@ -137,9 +117,7 @@ def _construct_candidates(
             try:
                 with metrics.timer(f"fpart.phase.bipartition.{name}"):
                     raw.append(
-                        build_candidate(
-                            name, hg, cells, device, seeds[i], backend
-                        )
+                        build_candidate(name, hg, cells, device, seeds[i])
                     )
             except Exception:
                 # Same degradation as a crashed worker: the builder
@@ -184,14 +162,8 @@ def create_bipartition(
             "cannot bipartition further"
         )
     hg = state.hg
-
-    # The state's substrate decides the builder substrate: a flat state
-    # means the run asked for backend="flat", so the constructive phase
-    # uses the flat builder twins (bit-identical either way).
-    backend = "flat" if isinstance(state, FlatPartitionState) else "object"
     candidates = _construct_candidates(
-        _portfolio(rng), hg, cells, device, rng, jobs, metrics=metrics,
-        backend=backend,
+        _portfolio(rng), hg, cells, device, rng, jobs, metrics=metrics
     )
     if not candidates:
         # Degenerate fallback (tiny remainders): peel the biggest cell.

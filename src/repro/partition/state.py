@@ -11,6 +11,24 @@ Sanchis multi-way, FPART, the baselines).  It tracks, per block ``j``:
 
 plus the global cut-net count, all updated in ``O(pins(cell))`` per move.
 
+Counter layout
+--------------
+Per-net block membership Λ(e, b) lives in two flat Python lists::
+
+    net_counts[net * stride + block]  -> pins of ``net`` inside ``block``
+    net_spans[net]                    -> number of blocks ``net`` touches
+
+``stride`` is the block *capacity* (>= ``num_blocks``); it grows by
+doubling (one O(nets * k) re-layout) when :meth:`add_block` runs out of
+columns, so the ``net * stride + block`` address stays valid across every
+move in between.  Dropping blocks (``restore_snapshot``) needs no
+re-layout: rewinding empties them, so their columns are already zero.
+Lists rather than ``array('i')`` on purpose: CPython indexes a list
+faster because an array read boxes a fresh int.  The frozen incidence is
+read from the hypergraph's CSR list mirrors
+(:meth:`~repro.hypergraph.csr.CsrView.list_mirrors`).  Hot paths (gain
+kernels, the Sanchis engine) index these lists directly.
+
 Pin semantics
 -------------
 A net contributes one pin to every block it touches **iff** it is visible
@@ -72,20 +90,12 @@ class PartitionState:
     algorithm-level policy kept in the drivers.
     """
 
-    #: Backend marker read by the hot paths (gains, engines): ``None``
-    #: here, the live flat counter list on
-    #: :class:`~repro.partition.flat_state.FlatPartitionState` (whose
-    #: slot of the same name shadows this class attribute).  Branching on
-    #: ``state.flat_counts is None`` is cheaper than isinstance checks.
-    flat_counts = None
-
     __slots__ = (
         "hg",
         "_block_of",
         "_num_blocks",
         "_block_sizes",
         "_block_cells",
-        "_net_blocks",
         "_block_pins",
         "_block_ext_ios",
         "_cut_nets",
@@ -94,6 +104,11 @@ class PartitionState:
         "_net_pads",
         "_listeners",
         "_journal",
+        "_cell_offsets",
+        "_cell_nets",
+        "net_counts",
+        "net_spans",
+        "stride",
     )
 
     def __init__(self, hg: Hypergraph, assignment: Sequence[int], num_blocks: int):
@@ -107,10 +122,12 @@ class PartitionState:
         self.hg = hg
         self._cell_sizes: Tuple[int, ...] = hg.cell_sizes
         self._net_pads: Tuple[int, ...] = hg.net_terminal_counts
+        _, _, self._cell_offsets, self._cell_nets = hg.csr.list_mirrors()
         self._listeners: List[StateListener] = []
         self._journal: List[Tuple[int, int]] = []
         self._block_of: List[int] = [int(b) for b in assignment]
         self._num_blocks = num_blocks
+        self.stride = max(4, num_blocks)
         for c, b in enumerate(self._block_of):
             if not 0 <= b < num_blocks:
                 raise ValueError(f"cell {c} assigned to invalid block {b}")
@@ -135,46 +152,61 @@ class PartitionState:
         return cls(hg, assignment, num_blocks)
 
     def copy(self) -> "PartitionState":
-        """Independent deep copy (shares only the immutable hypergraph).
-
-        Subclass-polymorphic: copying a flat state yields a flat state.
-        """
+        """Independent deep copy (shares only the immutable hypergraph)."""
         return self.__class__(self.hg, list(self._block_of), self._num_blocks)
 
     # ------------------------------------------------------------------
-    # Full (non-incremental) rebuild — also the consistency oracle
+    # Full (non-incremental) rebuild
     # ------------------------------------------------------------------
 
     def _rebuild(self) -> None:
         hg = self.hg
         k = self._num_blocks
+        if self.stride < k:
+            self.stride = k
+        stride = self.stride
+        block_of = self._block_of
+        cell_sizes = self._cell_sizes
         self._block_sizes: List[int] = [0] * k
         self._block_cells: List[Set[int]] = [set() for _ in range(k)]
-        for c, b in enumerate(self._block_of):
-            self._block_sizes[b] += hg.cell_size(c)
+        for c, b in enumerate(block_of):
+            self._block_sizes[b] += cell_sizes[c]
             self._block_cells[b].add(c)
 
-        self._net_blocks: List[Dict[int, int]] = []
-        self._block_pins: List[int] = [0] * k
-        self._block_ext_ios: List[int] = [0] * k
-        self._cut_nets = 0
-        for e in range(hg.num_nets):
-            dist: Dict[int, int] = {}
-            for p in hg.pins_of(e):
-                b = self._block_of[p]
-                dist[b] = dist.get(b, 0) + 1
-            self._net_blocks.append(dist)
-            span = len(dist)
-            pads = self._net_pads[e]
+        num_nets = hg.num_nets
+        counts = [0] * (num_nets * stride)
+        spans = [0] * num_nets
+        self.net_counts = counts
+        self.net_spans = spans
+        pins = self._block_pins = [0] * k
+        ext = self._block_ext_ios = [0] * k
+        net_pads = self._net_pads
+        net_offsets, net_pins, _, _ = hg.csr.list_mirrors()
+        total = 0
+        cut = 0
+        for e in range(num_nets):
+            base = e * stride
+            span = 0
+            for p in net_pins[net_offsets[e]:net_offsets[e + 1]]:
+                idx = base + block_of[p]
+                if counts[idx] == 0:
+                    span += 1
+                counts[idx] += 1
+            spans[e] = span
+            pads = net_pads[e]
             if span > 1:
-                self._cut_nets += 1
+                cut += 1
             if span > 1 or pads > 0:
-                for b in dist:
-                    self._block_pins[b] += 1
+                for b in range(k):
+                    if counts[base + b]:
+                        pins[b] += 1
+                        total += 1
             if pads > 0:
-                for b in dist:
-                    self._block_ext_ios[b] += pads
-        self._total_pins = sum(self._block_pins)
+                for b in range(k):
+                    if counts[base + b]:
+                        ext[b] += pads
+        self._cut_nets = cut
+        self._total_pins = total
         for listener in self._listeners:
             listener.on_rebuild()
 
@@ -185,6 +217,17 @@ class PartitionState:
         incremental state and a fresh rebuild.
         """
         fresh = PartitionState(self.hg, list(self._block_of), self._num_blocks)
+        k = self._num_blocks
+        for e in range(self.hg.num_nets):
+            assert self.net_distribution(e) == fresh.net_distribution(e), (
+                f"net {e} counts diverged"
+            )
+            # Columns past num_blocks must stay zero (dropped blocks).
+            base = e * self.stride
+            assert not any(self.net_counts[base + k:base + self.stride]), (
+                f"net {e} has pins in a dropped block column"
+            )
+        assert self.net_spans == fresh.net_spans, "net spans diverged"
         assert self._block_sizes == fresh._block_sizes, "block sizes diverged"
         assert self._block_pins == fresh._block_pins, "block pins diverged"
         assert (
@@ -192,7 +235,6 @@ class PartitionState:
         ), "external I/Os diverged"
         assert self._cut_nets == fresh._cut_nets, "cut-net count diverged"
         assert self._total_pins == fresh._total_pins, "total pins diverged"
-        assert self._net_blocks == fresh._net_blocks, "net distributions diverged"
         assert self._block_cells == fresh._block_cells, "block cell sets diverged"
 
     # ------------------------------------------------------------------
@@ -265,19 +307,26 @@ class PartitionState:
 
     def net_span(self, net: int) -> int:
         """Number of blocks touched by ``net``."""
-        return len(self._net_blocks[net])
+        return self.net_spans[net]
 
     def is_cut(self, net: int) -> bool:
         """True if ``net`` spans more than one block."""
-        return len(self._net_blocks[net]) > 1
+        return self.net_spans[net] > 1
 
     def net_block_count(self, net: int, block: int) -> int:
         """Pins of ``net`` inside ``block`` (0 if the net misses it)."""
-        return self._net_blocks[net].get(block, 0)
+        return self.net_counts[net * self.stride + block]
 
     def net_distribution(self, net: int) -> Dict[int, int]:
-        """Live ``block -> pin count`` map for a net (do not mutate)."""
-        return self._net_blocks[net]
+        """``block -> pin count`` map for a net, ascending block order
+        (a fresh dict built from the counters)."""
+        counts = self.net_counts
+        base = net * self.stride
+        return {
+            b: counts[base + b]
+            for b in range(self._num_blocks)
+            if counts[base + b]
+        }
 
     def assignment(self) -> List[int]:
         """Copy of the cell→block array (a restorable snapshot)."""
@@ -296,6 +345,8 @@ class PartitionState:
 
     def add_block(self) -> int:
         """Append a new empty block; returns its index."""
+        if self._num_blocks == self.stride:
+            self._grow_stride(self.stride * 2)
         self._num_blocks += 1
         self._block_sizes.append(0)
         self._block_pins.append(0)
@@ -304,6 +355,20 @@ class PartitionState:
         for listener in self._listeners:
             listener.on_add_block()
         return self._num_blocks - 1
+
+    def _grow_stride(self, new_stride: int) -> None:
+        """Re-layout ``net_counts`` with a wider block capacity."""
+        old_stride = self.stride
+        counts = self.net_counts
+        num_nets = self.hg.num_nets
+        grown = [0] * (num_nets * new_stride)
+        k = self._num_blocks
+        for e in range(num_nets):
+            src = e * old_stride
+            dst = e * new_stride
+            grown[dst:dst + k] = counts[src:src + k]
+        self.net_counts = grown
+        self.stride = new_stride
 
     def add_listener(self, listener: StateListener) -> None:
         """Register an observer of every mutation (idempotent)."""
@@ -331,76 +396,79 @@ class PartitionState:
 
     def _apply_move(self, cell: int, to_block: int) -> int:
         """Unjournaled core of :meth:`move` (also used by rewind)."""
-        from_block = self._block_of[cell]
+        block_of = self._block_of
+        from_block = block_of[cell]
         if to_block == from_block:
             return from_block
         if not 0 <= to_block < self._num_blocks:
             raise ValueError(f"invalid destination block {to_block}")
         size = self._cell_sizes[cell]
 
-        self._block_of[cell] = to_block
-        self._block_sizes[from_block] -= size
-        self._block_sizes[to_block] += size
+        block_of[cell] = to_block
+        sizes = self._block_sizes
+        sizes[from_block] -= size
+        sizes[to_block] += size
         self._block_cells[from_block].discard(cell)
         self._block_cells[to_block].add(cell)
 
         pins = self._block_pins
         ext = self._block_ext_ios
-        net_blocks = self._net_blocks
+        counts = self.net_counts
+        spans = self.net_spans
+        stride = self.stride
         net_pads = self._net_pads
-        for e in self.hg.nets_of(cell):
-            dist = net_blocks[e]
+        cut_delta = 0
+        pins_delta = 0
+        offsets = self._cell_offsets
+        for e in self._cell_nets[offsets[cell]:offsets[cell + 1]]:
+            base = e * stride
+            if_ = base + from_block
+            it = base + to_block
+            c_from = counts[if_]
+            c_to = counts[it]
+            counts[if_] = c_from - 1
+            counts[it] = c_to + 1
             pads = net_pads[e]
-            external = pads > 0
-            c_from = dist[from_block]
-            c_to = dist.get(to_block, 0)
-            span_old = len(dist)
-            from_leaves = c_from == 1
-            to_enters = c_to == 0
-
-            if from_leaves:
-                del dist[from_block]
-            else:
-                dist[from_block] = c_from - 1
-            dist[to_block] = c_to + 1
-            span_new = len(dist)
-
-            # --- pin / external-pad updates, case split on touch changes
-            if from_leaves and to_enters:
-                # Net slides from one block to another: span unchanged.
-                if span_old > 1 or external:
-                    # Total pins unchanged: the contribution just moves.
+            if c_from == 1:
+                if c_to == 0:
+                    # Net slides between the blocks: span unchanged.
+                    if spans[e] > 1 or pads > 0:
+                        pins[from_block] -= 1
+                        pins[to_block] += 1
+                    if pads > 0:
+                        ext[from_block] -= pads
+                        ext[to_block] += pads
+                else:
+                    # Net stops touching from_block; span drops by one.
+                    span_new = spans[e] - 1
+                    spans[e] = span_new
                     pins[from_block] -= 1
-                    pins[to_block] += 1
-                if external:
-                    ext[from_block] -= pads
-                    ext[to_block] += pads
-            elif from_leaves:
-                # Net stops touching from_block; span drops by one.
-                pins[from_block] -= 1  # span_old >= 2 here, so it had a pin
-                self._total_pins -= 1
-                if external:
-                    ext[from_block] -= pads
-                if span_new == 1:
-                    self._cut_nets -= 1
-                    if not external:
-                        # The single surviving block no longer sees the net.
+                    pins_delta -= 1
+                    if pads > 0:
+                        ext[from_block] -= pads
+                    elif span_new == 1:
+                        # Single survivor no longer sees the net.
                         pins[to_block] -= 1
-                        self._total_pins -= 1
-            elif to_enters:
+                        pins_delta -= 1
+                    if span_new == 1:
+                        cut_delta -= 1
+            elif c_to == 0:
                 # Net starts touching to_block; span grows by one.
-                pins[to_block] += 1  # span_new >= 2 here
-                self._total_pins += 1
-                if external:
+                span_old = spans[e]
+                spans[e] = span_old + 1
+                pins[to_block] += 1
+                pins_delta += 1
+                if pads > 0:
                     ext[to_block] += pads
+                elif span_old == 1:
+                    # from_block's copy of the net just became visible.
+                    pins[from_block] += 1
+                    pins_delta += 1
                 if span_old == 1:
-                    self._cut_nets += 1
-                    if not external:
-                        # from_block's copy of the net just became visible.
-                        pins[from_block] += 1
-                        self._total_pins += 1
+                    cut_delta += 1
             # else: net keeps touching both blocks; nothing changes.
-
+        self._cut_nets += cut_delta
+        self._total_pins += pins_delta
         for listener in self._listeners:
             listener.on_move(from_block, to_block)
         return from_block

@@ -58,7 +58,8 @@ def validate_assignment(
 
     Never raises on an infeasible partition — every violation is
     collected into the report.  Raises ``ValueError`` only on malformed
-    input (wrong length, negative block ids).
+    input (wrong length, negative block ids, or a block id outside
+    ``range(num_blocks)`` when ``num_blocks`` is given).
     """
     if len(assignment) != hg.num_cells:
         raise ValueError(
@@ -70,6 +71,13 @@ def validate_assignment(
             raise ValueError(f"cell {cell} has negative block {block}")
     if num_blocks is None:
         num_blocks = max(assignment, default=-1) + 1 if assignment else 0
+    else:
+        for cell, block in enumerate(assignment):
+            if block >= num_blocks:
+                raise ValueError(
+                    f"cell {cell} has block {block}, "
+                    f"expected fewer than {num_blocks} blocks"
+                )
     num_blocks = max(num_blocks, 1)
 
     sizes = block_sizes(hg, assignment, num_blocks)

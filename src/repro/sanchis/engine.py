@@ -43,9 +43,10 @@ Per-move work is kept small three ways:
   first lock lands in the destination block); a cell's ``version`` is
   bumped only when it really is re-pushed;
 * the solution cost after each move comes from the run's
-  :class:`~repro.core.cost.IncrementalCostEvaluator` in O(1) (when
-  ``config.incremental_cost`` is set and the evaluator supports it)
-  instead of a full O(k) sweep.
+  :class:`~repro.core.cost.IncrementalCostEvaluator` in O(1), read from
+  its key cell, instead of a full O(k) sweep (a plain
+  :class:`~repro.core.cost.CostEvaluator` injected by tests still works
+  through ``key_of``).
 """
 
 from __future__ import annotations
@@ -193,27 +194,17 @@ class SanchisEngine:
         stall_limit = config.pass_stall_limit
 
         evaluator = self.evaluator
-        if config.incremental_cost and isinstance(
-            evaluator, IncrementalCostEvaluator
-        ):
-            evaluator.attach(state)
-        # Per-move comparisons use the raw key tuple (O(1) when the
-        # evaluator is attached); the SolutionCost object is built once
-        # at the end of the pass.
+        # Per-move comparisons use the raw key tuple; the SolutionCost
+        # object is built once at the end of the pass.  The incremental
+        # evaluator refreshes the key inside its on_move listener, so the
+        # per-move read is one list index instead of a key_of call.
         key_of = evaluator.key_of
-        # Fused-key protocol (flat backend): the evaluator refreshes the
-        # key inside its on_move listener, so the per-move read is one
-        # list index instead of a current_key call.  The keys are
-        # bit-identical either way; only the call is elided.
-        fused = (
-            getattr(evaluator, "fused_keys", False)
-            and evaluator.attached_state is state
-        )
-        if fused:
+        if isinstance(evaluator, IncrementalCostEvaluator):
+            evaluator.attach(state)
             evaluator.set_remainder(self.remainder)
-            fused_key_cell = evaluator.last_key_cell
+            key_cell = evaluator.last_key_cell
         else:
-            fused_key_cell = None
+            key_cell = None
 
         # Telemetry contract: nothing below touches the registry or the
         # tracer per move.  Observations accumulate in pass-local
@@ -451,26 +442,16 @@ class SanchisEngine:
                 nets = hg.nets_of(cell)
                 # Pre-move distribution facts deciding which neighbours
                 # are dirty (the predicates below need the *old* counts).
-                flat_counts = state.flat_counts
-                if flat_counts is not None:
-                    stride = state.flat_stride
-                    pre = [
-                        (
-                            flat_counts[e * stride + from_block],
-                            flat_counts[e * stride + to_block],
-                            locked_in_block[e].get(to_block, 0),
-                        )
-                        for e in nets
-                    ]
-                else:
-                    pre = [
-                        (
-                            state.net_block_count(e, from_block),
-                            state.net_block_count(e, to_block),
-                            locked_in_block[e].get(to_block, 0),
-                        )
-                        for e in nets
-                    ]
+                counts = state.net_counts
+                stride = state.stride
+                pre = [
+                    (
+                        counts[e * stride + from_block],
+                        counts[e * stride + to_block],
+                        locked_in_block[e].get(to_block, 0),
+                    )
+                    for e in nets
+                ]
                 state.move(cell, to_block)
                 free.discard(cell)
                 version[cell] += 1  # invalidate the cell's other entries
@@ -521,8 +502,8 @@ class SanchisEngine:
                     revive(direction)
 
                 key = (
-                    fused_key_cell[0]
-                    if fused_key_cell is not None
+                    key_cell[0]
+                    if key_cell is not None
                     else key_of(state, self.remainder)
                 )
                 applied += 1

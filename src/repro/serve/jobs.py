@@ -32,6 +32,8 @@ import time
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..core.device import device_by_name
+
 __all__ = [
     "JOB_STATES",
     "TERMINAL_STATES",
@@ -78,15 +80,27 @@ class JobSpec:
     ``config`` holds FpartConfig field overrides by name (only the
     fields the client set); the worker applies them over
     ``DEFAULT_CONFIG`` so the service and CLI share one default story.
+    An omitted ``delta`` resolves to the device's own filling ratio at
+    construction, like the CLI, so the submission digest sees the same
+    value whether the client spelled it out or not.
     """
 
     netlist: str
     device: str = "XC3042"
-    delta: float = 0.1
+    delta: Optional[float] = None
     config: Dict = field(default_factory=dict)
     tenant: str = "default"
     priority: int = 0
     label: str = ""
+
+    def __post_init__(self) -> None:
+        delta = self.delta
+        if delta is None:
+            try:
+                delta = device_by_name(self.device).delta
+            except KeyError as error:
+                raise JobError(str(error)) from None
+        object.__setattr__(self, "delta", float(delta))
 
     def validate(self) -> None:
         if not self.netlist:

@@ -1,36 +1,36 @@
-"""Differential testing of the flat vs object partition substrates.
+"""Differential testing of the partition core against the oracle.
 
-The flat (CSR array) backend promises to be **bit-identical** to the
-object backend in every observable: assignments, cut counts, per-block
-aggregates, FM gains and lexicographic cost keys.  This module makes
-that promise checkable by construction: it generates (or accepts) a
-recorded operation sequence, replays it through both backends and
-compares a dense fingerprint of observables after every operation.
+The production path — :class:`~repro.partition.PartitionState`, the gain
+kernels in :mod:`repro.fm.gains`, the
+:class:`~repro.core.cost.IncrementalCostEvaluator` and the constructive
+builders — maintains everything incrementally.  This module replays a
+recorded operation sequence through it and compares every observable
+with the brute-force recompute of :mod:`repro.testing.oracle` after each
+op, so a divergence is reported at the first op (or constructive step)
+that produced it.
 
 Operation vocabulary (plain tuples, JSON-friendly):
 
 ``("move", cell, to_block)``
-    Apply one move (``to_block`` may equal the current block — a no-op
-    move still journals, which both backends must agree on).
+    Apply one move (``to_block`` may equal the current block — a no-op).
 ``("add_block",)``
     Grow the partition by one empty block.
 ``("mark",)``
     Push ``journal_mark()`` onto the replay's mark stack.
 ``("rewind", i)``
     Rewind to the ``i``-th pushed mark and truncate the stack there —
-    exercising the undo journal across both substrates.
+    exercising the undo journal.
 ``("restore", assignment, num_blocks)``
     Full-state restore (the driver's checkpoint/resume path).
 ``("build", builder, cells, rng_seed)``
-    One constructive builder invocation (see :func:`constructive_ops`)
-    — replayed with per-step trace comparison by
-    :func:`run_constructive_differential`, covering the flat builder
-    twins in ``repro.initial.flat_build``.
+    One constructive builder invocation (see :func:`constructive_ops`),
+    checked step by step by :func:`run_constructive_differential`.
 
-The fingerprint taken after each op covers the partition aggregates and
-a deterministic sample of per-net / per-cell queries; optional extras
-compare FM gains (:func:`repro.fm.gains`) and evaluator keys
-(:func:`repro.core.cost.make_evaluator`) move-for-move.
+After every state op the harness compares Λ(e, b), sizes, pins,
+external I/O, cut and total pins; every ``gain_every`` ops it compares
+the level-1/level-2/pin gains of a random move under a random lock set;
+with a device it also compares the evaluator's lexicographic key and
+cost with the full-sweep oracle key.
 
 Used by ``tests/test_flat_core.py``; importable from ad-hoc scripts::
 
@@ -43,10 +43,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..core.backend import single_block_state
 from ..hypergraph import Hypergraph
+from ..partition import PartitionState
+from . import oracle
 
 __all__ = [
     "DifferentialReport",
@@ -63,7 +64,7 @@ Op = Tuple[Any, ...]
 
 @dataclass
 class DifferentialReport:
-    """Outcome of one flat-vs-object replay comparison."""
+    """Outcome of one production-vs-oracle replay."""
 
     ops: List[Op]
     identical: bool
@@ -71,7 +72,7 @@ class DifferentialReport:
     fingerprints_compared: int = 0
     extras: List[str] = field(default_factory=list)
 
-    def __bool__(self) -> bool:  # truthy == backends agree
+    def __bool__(self) -> bool:  # truthy == production matches the oracle
         return self.identical
 
 
@@ -120,152 +121,197 @@ def random_ops(
     return ops
 
 
-def _fingerprint(state, probe_nets, probe_cells) -> Tuple:
-    """Dense observable snapshot of ``state`` (hashable tuple)."""
-    return (
-        state.num_blocks,
-        state.cut_nets,
-        state.total_pins,
-        state.block_sizes,
-        state.block_pin_counts,
-        state.block_ext_io_counts,
-        tuple(state.assignment()),
-        tuple(
-            tuple(sorted(state.net_distribution(e).items()))
-            for e in probe_nets
+def _apply(state: PartitionState, op: Op, marks: List[int]) -> None:
+    kind = op[0]
+    if kind == "move":
+        state.move(op[1], op[2])
+    elif kind == "add_block":
+        state.add_block()
+    elif kind == "mark":
+        marks.append(state.journal_mark())
+    elif kind == "rewind":
+        state.rewind(marks[op[1]])
+        del marks[op[1]:]
+    elif kind == "restore":
+        state.restore(list(op[1]), op[2])
+        marks.clear()
+    else:
+        raise ValueError(f"unknown differential op {op!r}")
+
+
+def _observables(state: PartitionState) -> Dict[str, Any]:
+    """Production observables, in the oracle's shape."""
+    return {
+        "num_blocks": state.num_blocks,
+        "sizes": state.block_sizes,
+        "pins": state.block_pin_counts,
+        "ext": state.block_ext_io_counts,
+        "cut": state.cut_nets,
+        "total_pins": state.total_pins,
+        "counts": tuple(
+            state.net_distribution(e) for e in range(state.hg.num_nets)
         ),
-        tuple(state.net_span(e) for e in probe_nets),
-        tuple(state.block_of(c) for c in probe_cells),
-    )
+    }
 
 
-def replay(
-    hg: Hypergraph,
-    ops: Sequence[Op],
-    backend: str,
-    probe_nets: Sequence[int] = (),
-    probe_cells: Sequence[int] = (),
-) -> List[Tuple]:
-    """Replay ``ops`` on a fresh single-block state; return fingerprints.
+def _oracle_observables(
+    hg: Hypergraph, state: PartitionState
+) -> Dict[str, Any]:
+    r = oracle.recount(hg, state.assignment(), state.num_blocks)
+    return {
+        "num_blocks": r.num_blocks,
+        "sizes": r.sizes,
+        "pins": r.pins,
+        "ext": r.ext,
+        "cut": r.cut_nets,
+        "total_pins": r.total_pins,
+        "counts": r.distributions,
+    }
 
-    One fingerprint per op (taken *after* applying it), plus the initial
-    one at index 0.
+
+def _first_mismatch(
+    mine: Dict[str, Any], theirs: Dict[str, Any]
+) -> Optional[str]:
+    for name, value in mine.items():
+        expected = theirs[name]
+        if value == expected:
+            continue
+        if name == "counts":
+            e = next(
+                i for i, (a, b) in enumerate(zip(value, expected)) if a != b
+            )
+            return f"Λ(net {e}, ·): production={value[e]} oracle={expected[e]}"
+        return f"{name}: production={value!r} oracle={expected!r}"
+    return None
+
+
+def replay(hg: Hypergraph, ops: Sequence[Op]) -> List[Dict[str, Any]]:
+    """Replay ``ops`` on a fresh single-block state; return observables.
+
+    One observable snapshot per op (taken *after* applying it), plus the
+    initial one at index 0.
     """
-    state = single_block_state(hg, backend)
+    state = PartitionState.single_block(hg)
     marks: List[int] = []
-    prints = [_fingerprint(state, probe_nets, probe_cells)]
+    prints = [_observables(state)]
     for op in ops:
-        kind = op[0]
-        if kind == "move":
-            state.move(op[1], op[2])
-        elif kind == "add_block":
-            state.add_block()
-        elif kind == "mark":
-            marks.append(state.journal_mark())
-        elif kind == "rewind":
-            state.rewind(marks[op[1]])
-            del marks[op[1]:]
-        elif kind == "restore":
-            state.restore(list(op[1]), op[2])
-            marks.clear()
-        else:
-            raise ValueError(f"unknown differential op {op!r}")
-        prints.append(_fingerprint(state, probe_nets, probe_cells))
-    state.check_consistency()
+        _apply(state, op, marks)
+        prints.append(_observables(state))
     return prints
 
 
-def _compare_gains(hg: Hypergraph, ops, seed: int) -> Optional[str]:
-    """Replay with interleaved gain queries on both backends."""
+def _check_gains(
+    hg: Hypergraph, state: PartitionState, rng: random.Random
+) -> Optional[str]:
+    """One random move's gains, production kernels vs the oracle."""
     from ..fm.gains import move_gain, move_gain_vector, pin_gain
 
+    cell = rng.randrange(hg.num_cells)
+    to = rng.randrange(state.num_blocks)
+    if to == state.block_of(cell):
+        return None
+    locked = {c for c in range(hg.num_cells) if rng.random() < 0.2}
+    locked_in_block: List[Dict[int, int]] = [{} for _ in range(hg.num_nets)]
+    for c in locked:
+        b = state.block_of(c)
+        for e in hg.nets_of(c):
+            locked_in_block[e][b] = locked_in_block[e].get(b, 0) + 1
+    g1, g2 = move_gain_vector(state, cell, to, locked_in_block)
+    mine = (g1, g2, pin_gain(state, cell, to))
+    theirs = oracle.move_gains(
+        hg, state.assignment(), state.num_blocks, cell, to, locked
+    )
+    if mine != theirs or move_gain(state, cell, to) != theirs[0]:
+        return (
+            f"gains of cell {cell} -> block {to}: "
+            f"production={mine} oracle={theirs}"
+        )
+    return None
+
+
+def _check_keys(hg, state, evaluator, device, config) -> Optional[str]:
+    """Evaluator key and cost vs the full-sweep oracle key."""
+    remainder = state.num_blocks - 1
+    evaluator.set_remainder(remainder)
+    expected = oracle.lex_key(
+        hg, state.assignment(), state.num_blocks, device, config, remainder
+    )
+    for what, key in (
+        ("key cell", evaluator.last_key_cell[0]),
+        ("key_of", evaluator.key_of(state, remainder)),
+        ("cost_of", evaluator.cost_of(state, remainder).key),
+    ):
+        if key != expected:
+            return (
+                f"{what} (remainder={remainder}): production={key} "
+                f"oracle={expected}"
+            )
+    other = oracle.lex_key(
+        hg, state.assignment(), state.num_blocks, device, config, 0
+    )
+    if evaluator.key_of(state, 0) != other:
+        return (
+            f"key_of (remainder=0): production={evaluator.key_of(state, 0)} "
+            f"oracle={other}"
+        )
+    return None
+
+
+def run_differential(
+    hg: Hypergraph,
+    ops: Optional[Sequence[Op]] = None,
+    seed: int = 0,
+    length: int = 1000,
+    device=None,
+    config=None,
+    gain_every: int = 7,
+) -> DifferentialReport:
+    """Replay one op sequence through the production path and check it.
+
+    After every op the state's observables must equal the oracle's
+    recount; every ``gain_every`` ops a random move's gains are checked.
+    With ``device`` (and optionally ``config``) an attached incremental
+    evaluator's keys are checked too.  Returns a report;
+    ``report.identical`` is the verdict and ``report.first_divergence``
+    names the op.
+    """
+    if ops is None:
+        ops = random_ops(hg, seed=seed, length=length)
+    ops = list(ops)
+    report = DifferentialReport(ops=ops, identical=True)
+    state = PartitionState.single_block(hg)
+    evaluator = None
+    if device is not None:
+        from ..core.config import DEFAULT_CONFIG
+        from ..core.cost import IncrementalCostEvaluator
+
+        config = config if config is not None else DEFAULT_CONFIG
+        evaluator = IncrementalCostEvaluator(
+            device, config, device.lower_bound(hg), hg.num_terminals
+        )
+        evaluator.attach(state)
     rng = random.Random(seed ^ 0x5F3759DF)
-    states = {
-        b: single_block_state(hg, b) for b in ("object", "flat")
-    }
-    marks: dict = {b: [] for b in states}
-    for step, op in enumerate(ops):
-        for b, state in states.items():
-            kind = op[0]
-            if kind == "move":
-                state.move(op[1], op[2])
-            elif kind == "add_block":
-                state.add_block()
-            elif kind == "mark":
-                marks[b].append(state.journal_mark())
-            elif kind == "rewind":
-                state.rewind(marks[b][op[1]])
-                del marks[b][op[1]:]
-            elif kind == "restore":
-                state.restore(list(op[1]), op[2])
-                marks[b].clear()
-        if step % 7 == 0 and hg.num_cells:
-            cell = rng.randrange(hg.num_cells)
-            to = rng.randrange(states["flat"].num_blocks)
-            no_locks = [{} for _ in range(hg.num_nets)]
-            queries = []
-            for b, state in sorted(states.items()):
-                queries.append(
-                    (
-                        move_gain(state, cell, to),
-                        pin_gain(state, cell, to),
-                        move_gain_vector(state, cell, to, no_locks),
-                    )
-                )
-            if queries[0] != queries[1]:
-                return (
-                    f"gain divergence at op {step} "
-                    f"(cell={cell}, to={to}): "
-                    f"flat={queries[0]} object={queries[1]}"
-                )
-    return None
-
-
-def _compare_keys(hg: Hypergraph, ops, device, config) -> Optional[str]:
-    """Replay with attached incremental evaluators, comparing keys."""
-    import dataclasses
-
-    from ..core.cost import make_evaluator
-
-    lb = device.lower_bound(hg)
-    pairs = []
-    for backend in ("object", "flat"):
-        cfg = dataclasses.replace(config, backend=backend)
-        state = single_block_state(hg, backend)
-        ev = make_evaluator(device, cfg, lb, hg.num_terminals)
-        ev.attach(state)
-        pairs.append((state, ev, []))
-    for step, op in enumerate(ops):
-        for state, ev, marks in pairs:
-            kind = op[0]
-            if kind == "move":
-                state.move(op[1], op[2])
-            elif kind == "add_block":
-                state.add_block()
-            elif kind == "mark":
-                marks.append(state.journal_mark())
-            elif kind == "rewind":
-                state.rewind(marks[op[1]])
-                del marks[op[1]:]
-            elif kind == "restore":
-                state.restore(list(op[1]), op[2])
-                marks.clear()
-        remainder = pairs[0][0].num_blocks - 1
-        k0 = pairs[0][1].key_of(pairs[0][0], remainder)
-        k1 = pairs[1][1].key_of(pairs[1][0], remainder)
-        if k0 != k1:
-            return (
-                f"key divergence at op {step} (remainder={remainder}): "
-                f"object={k0} flat={k1}"
-            )
-        c0 = pairs[0][1].cost_of(pairs[0][0], remainder)
-        c1 = pairs[1][1].cost_of(pairs[1][0], remainder)
-        if c0.key != c1.key:
-            return (
-                f"cost divergence at op {step}: "
-                f"object={c0.key} flat={c1.key}"
-            )
-    return None
+    marks: List[int] = []
+    for i in range(len(ops) + 1):
+        if i:
+            _apply(state, ops[i - 1], marks)
+        where = f"after op {i - 1} = {ops[i - 1]!r}" if i else "initial state"
+        divergence = _first_mismatch(
+            _observables(state), _oracle_observables(hg, state)
+        )
+        if divergence is None and hg.num_cells and i % gain_every == 0:
+            divergence = _check_gains(hg, state, rng)
+        if divergence is None and evaluator is not None:
+            divergence = _check_keys(hg, state, evaluator, device, config)
+        if divergence is not None:
+            report.identical = False
+            report.first_divergence = f"state divergence {where}: {divergence}"
+            return report
+        report.fingerprints_compared += 1
+    report.extras.append("gains")
+    if evaluator is not None:
+        report.extras.append("keys")
+    return report
 
 
 #: builders covered by the constructive replay harness.
@@ -306,26 +352,23 @@ def replay_constructive(
     hg: Hypergraph,
     device,
     ops: Sequence[Op],
-    backend: str,
 ) -> List[Tuple]:
-    """Replay constructive ops on one backend; returns per-op records.
+    """Replay constructive ops through the builders; per-op records.
 
     Each record is ``(subset, trace)`` — the builder's returned block
     (sorted tuple, or None) and its per-step fingerprint trace, the
     full observable surface of one constructive invocation.
     """
-    from ..initial import BUILDERS, FLAT_BUILDERS
+    from ..initial import BUILDERS
 
-    object_by_name = dict(BUILDERS)
     records: List[Tuple] = []
     for op in ops:
         kind, name, cells, rng_seed = op
         if kind != "build":
             raise ValueError(f"unknown constructive op {op!r}")
-        fn = FLAT_BUILDERS[name] if backend == "flat" else object_by_name[name]
         rng = random.Random(rng_seed) if rng_seed is not None else None
         trace: List[Tuple] = []
-        subset = fn(hg, list(cells), device, rng=rng, trace=trace)
+        subset = BUILDERS[name](hg, list(cells), device, rng=rng, trace=trace)
         records.append(
             (
                 tuple(sorted(subset)) if subset is not None else None,
@@ -342,115 +385,30 @@ def run_constructive_differential(
     seed: int = 0,
     rounds: int = 12,
 ) -> DifferentialReport:
-    """Replay constructive ops through both backends and compare.
+    """Replay constructive ops and check every step against the oracle.
 
-    The comparison is per *step*, not just per result: the builders'
-    trace tuples (every move/grow with its cut, size and pin counts)
-    must match entry for entry, which localizes a divergence to the
-    first differing constructive decision.
+    The check is per *step*, not just per result: each trace entry's
+    pick and fingerprint is recomputed from scratch
+    (:func:`repro.testing.oracle.check_builder_trace`), which localizes
+    a divergence to the first differing constructive decision.
     """
     if ops is None:
         ops = constructive_ops(hg, seed=seed, rounds=rounds)
     ops = list(ops)
     report = DifferentialReport(ops=ops, identical=True)
-    records = {
-        backend: replay_constructive(hg, device, ops, backend)
-        for backend in ("object", "flat")
-    }
-    compared = 0
-    for i, (ro, rf) in enumerate(zip(records["object"], records["flat"])):
-        sub_o, trace_o = ro
-        sub_f, trace_f = rf
-        compared += 1 + min(len(trace_o), len(trace_f))
-        if trace_o != trace_f:
-            step = next(
-                (
-                    j
-                    for j, (a, b) in enumerate(zip(trace_o, trace_f))
-                    if a != b
-                ),
-                min(len(trace_o), len(trace_f)),
-            )
-            pair = (
-                trace_o[step] if step < len(trace_o) else "<missing>",
-                trace_f[step] if step < len(trace_f) else "<missing>",
-            )
+    for i, (op, (subset, trace)) in enumerate(
+        zip(ops, replay_constructive(hg, device, ops))
+    ):
+        _, name, cells, rng_seed = op
+        divergence = oracle.check_builder_trace(
+            hg, device, name, cells, rng_seed, subset, trace
+        )
+        if divergence is not None:
             report.identical = False
             report.first_divergence = (
-                f"constructive trace divergence at op {i} = {ops[i]!r} "
-                f"step {step}: object={pair[0]!r} flat={pair[1]!r}"
+                f"constructive divergence at op {i} = {op!r}: {divergence}"
             )
             return report
-        if sub_o != sub_f:
-            report.identical = False
-            report.first_divergence = (
-                f"constructive subset divergence at op {i} = {ops[i]!r}: "
-                f"object={sub_o!r} flat={sub_f!r}"
-            )
-            return report
-    report.fingerprints_compared = compared
+        report.fingerprints_compared += 1 + len(trace)
     report.extras.append("constructive")
-    return report
-
-
-def run_differential(
-    hg: Hypergraph,
-    ops: Optional[Sequence[Op]] = None,
-    seed: int = 0,
-    length: int = 1000,
-    device=None,
-    config=None,
-    num_probes: int = 16,
-) -> DifferentialReport:
-    """Replay one op sequence through both backends and compare.
-
-    With ``device`` (and optionally ``config``) given, also attaches an
-    incremental evaluator per backend and compares lexicographic keys
-    and costs after every op.  Returns a report; ``report.identical``
-    is the verdict and ``report.first_divergence`` the evidence.
-    """
-    if ops is None:
-        ops = random_ops(hg, seed=seed, length=length)
-    ops = list(ops)
-    rng = random.Random(seed ^ 0xA5A5A5)
-    probe_nets = sorted(
-        rng.sample(range(hg.num_nets), min(num_probes, hg.num_nets))
-    )
-    probe_cells = sorted(
-        rng.sample(range(hg.num_cells), min(num_probes, hg.num_cells))
-    )
-    report = DifferentialReport(ops=ops, identical=True)
-
-    prints = {}
-    for backend in ("object", "flat"):
-        prints[backend] = replay(hg, ops, backend, probe_nets, probe_cells)
-    report.fingerprints_compared = len(prints["flat"])
-    for i, (a, b) in enumerate(zip(prints["object"], prints["flat"])):
-        if a != b:
-            report.identical = False
-            op = ops[i - 1] if i else "<initial>"
-            report.first_divergence = (
-                f"state divergence after op {i - 1} = {op!r}: "
-                f"object={a!r} flat={b!r}"
-            )
-            return report
-
-    divergence = _compare_gains(hg, ops, seed)
-    if divergence:
-        report.identical = False
-        report.first_divergence = divergence
-        return report
-    report.extras.append("gains")
-
-    if device is not None:
-        if config is None:
-            from ..core.config import DEFAULT_CONFIG
-
-            config = DEFAULT_CONFIG
-        divergence = _compare_keys(hg, ops, device, config)
-        if divergence:
-            report.identical = False
-            report.first_divergence = divergence
-            return report
-        report.extras.append("keys")
     return report

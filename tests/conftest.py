@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.circuits import generate_circuit
@@ -67,3 +69,14 @@ def small_device() -> Device:
 def tiny_device() -> Device:
     """A device sized for the 8-cell fixtures (capacity 4, pins 6)."""
     return Device("TINY", s_ds=4, t_max=6, delta=1.0)
+
+
+@pytest.fixture
+def run_digest():
+    """Golden-pin digest: sha256 over a run's assignment and cost key."""
+
+    def digest(assignment, key) -> str:
+        payload = repr((list(assignment), tuple(key)))
+        return hashlib.sha256(payload.encode()).hexdigest()
+
+    return digest

@@ -1,16 +1,15 @@
-"""Flat constructive builders: bit-identity with the object oracles.
+"""Constructive builders on the CSR substrate, checked against the oracle.
 
-Mirrors the evidence layers ``tests/test_flat_core.py`` built for the
-improvement loop, now for the constructive phase (DESIGN.md section 13):
+Evidence layers for the constructive phase (DESIGN.md section 13):
 
-* **per-step differential** — random builder invocations (random cell
-  subsets, seeded and unseeded) replayed through both backends with the
-  builders' per-step trace tuples compared entry for entry;
-* **branch coverage** — the disconnected-circuit jump fallbacks produce
-  identical decisions on both substrates;
-* **whole-run bit-identity** — full ``fpart`` runs (which now route
-  the constructive phase through ``initial.flat_build`` when
-  ``backend="flat"``) stay identical, serial and parallel.
+* **per-step oracle replay** — builder invocations (fixed circuits and
+  random cell subsets, seeded and unseeded) whose trace tuples are
+  replayed by :func:`repro.testing.oracle.check_builder_trace`, which
+  recomputes every candidate set and score from scratch;
+* **branch coverage** — the disconnected-circuit jump fallbacks;
+* **golden whole-run pins** — full ``fpart`` runs reproduce the
+  assignment and cost-key digests recorded before the object substrate
+  was retired, serial and with a builder pool.
 """
 
 import random
@@ -23,10 +22,7 @@ from repro.core import Device, FpartConfig
 from repro.core.device import device_by_name
 from repro.hypergraph import Hypergraph
 from repro.initial import (
-    FLAT_BUILDERS,
-    flat_greedy_merge_bipartition,
-    flat_ratio_cut_bipartition,
-    flat_seed_grow_bipartition,
+    BUILDERS,
     greedy_merge_bipartition,
     ratio_cut_bipartition,
     seed_grow_bipartition,
@@ -36,59 +32,59 @@ from repro.testing.differential import (
     replay_constructive,
     run_constructive_differential,
 )
+from repro.testing.oracle import check_builder_trace
 
 PAIRS = [
-    ("greedy_merge", greedy_merge_bipartition, flat_greedy_merge_bipartition),
-    ("ratio_cut", ratio_cut_bipartition, flat_ratio_cut_bipartition),
-    ("seed_grow", seed_grow_bipartition, flat_seed_grow_bipartition),
+    ("greedy_merge", greedy_merge_bipartition),
+    ("ratio_cut", ratio_cut_bipartition),
+    ("seed_grow", seed_grow_bipartition),
 ]
 
 
+def _checked(name, fn, hg, cells, device, rng_seed=None):
+    trace = []
+    rng = random.Random(rng_seed) if rng_seed is not None else None
+    subset = fn(hg, cells, device, rng=rng, trace=trace)
+    return check_builder_trace(
+        hg, device, name, list(cells), rng_seed, subset, trace
+    )
+
+
 class TestBuilderEquivalence:
-    """Direct builder-vs-builder comparison on small circuits."""
+    """Direct builder runs, every step checked by the oracle."""
 
-    @pytest.mark.parametrize("name,obj_fn,flat_fn", PAIRS)
-    def test_two_clusters(self, name, obj_fn, flat_fn, two_clusters, tiny_device):
-        obj_trace, flat_trace = [], []
-        obj = obj_fn(two_clusters, range(8), tiny_device, trace=obj_trace)
-        flat = flat_fn(two_clusters, range(8), tiny_device, trace=flat_trace)
-        assert obj == flat
-        assert obj_trace == flat_trace
+    @pytest.mark.parametrize("name,fn", PAIRS)
+    def test_two_clusters(self, name, fn, two_clusters, tiny_device):
+        assert _checked(name, fn, two_clusters, range(8), tiny_device) is None
 
-    @pytest.mark.parametrize("name,obj_fn,flat_fn", PAIRS)
-    def test_medium_circuit(
-        self, name, obj_fn, flat_fn, medium_circuit, small_device
-    ):
+    @pytest.mark.parametrize("name,fn", PAIRS)
+    def test_medium_circuit(self, name, fn, medium_circuit, small_device):
         cells = range(medium_circuit.num_cells)
-        obj_trace, flat_trace = [], []
-        obj = obj_fn(medium_circuit, cells, small_device, trace=obj_trace)
-        flat = flat_fn(medium_circuit, cells, small_device, trace=flat_trace)
-        assert obj == flat
-        assert obj_trace == flat_trace
+        assert _checked(name, fn, medium_circuit, cells, small_device) is None
 
-    @pytest.mark.parametrize("name,obj_fn,flat_fn", PAIRS)
-    def test_seeded(self, name, obj_fn, flat_fn, medium_circuit, small_device):
+    @pytest.mark.parametrize("name,fn", PAIRS)
+    def test_seeded(self, name, fn, medium_circuit, small_device):
         cells = range(medium_circuit.num_cells)
         for seed in range(4):
-            obj = obj_fn(
-                medium_circuit, cells, small_device, rng=random.Random(seed)
+            divergence = _checked(
+                name, fn, medium_circuit, cells, small_device, rng_seed=seed
             )
-            flat = flat_fn(
-                medium_circuit, cells, small_device, rng=random.Random(seed)
-            )
-            assert obj == flat
+            assert divergence is None, divergence
 
     def test_flat_builders_registry(self):
-        assert set(FLAT_BUILDERS) == {"greedy_merge", "ratio_cut", "seed_grow"}
+        assert list(BUILDERS) == ["greedy_merge", "ratio_cut", "seed_grow"]
 
 
 class TestConstructiveDifferential:
-    """Randomized per-step replay equivalence (the harness itself)."""
+    """Randomized per-step replays (the harness itself)."""
 
     @pytest.mark.parametrize("seed", range(5))
     def test_generated_circuits(self, seed):
+        # Mixed cell sizes, so the (gain, size, -index) and (score,
+        # size, -index) tie-breaks see ties the size decides.
+        sizes = random.Random(seed).choices([1, 2, 3], k=220)
         hg = generate_circuit(
-            "confl", num_cells=220, num_ios=20, seed=seed
+            "confl", num_cells=220, num_ios=20, seed=seed, cell_sizes=sizes
         )
         device = device_by_name("XC3042")
         report = run_constructive_differential(
@@ -100,24 +96,31 @@ class TestConstructiveDifferential:
 
     def test_replay_records_traces(self, medium_circuit, small_device):
         ops = constructive_ops(medium_circuit, seed=1, rounds=4)
-        records = replay_constructive(
-            medium_circuit, small_device, ops, "flat"
-        )
+        records = replay_constructive(medium_circuit, small_device, ops)
         assert len(records) == len(ops)
         for subset, trace in records:
             assert subset is None or len(subset) > 0
             assert isinstance(trace, tuple)
 
     def test_divergence_is_localized(self, medium_circuit, small_device):
-        # Sanity: the report pinpoints the op and step on divergence —
-        # feed it a deliberately mismatched op list via monkeypatched
-        # comparison by comparing a sweep to itself (always identical).
-        report = run_constructive_differential(
-            medium_circuit,
-            small_device,
-            ops=[("build", "ratio_cut", tuple(range(12)), None)],
+        cells = list(range(40))
+        trace = []
+        subset = ratio_cut_bipartition(
+            medium_circuit, cells, small_device, trace=trace
         )
-        assert report.identical
+        assert check_builder_trace(
+            medium_circuit, small_device, "ratio_cut", cells, None, subset,
+            trace,
+        ) is None
+        # Corrupt the cut count of the fourth sweep step.
+        step = list(trace[3])
+        step[2] += 1
+        trace[3] = tuple(step)
+        divergence = check_builder_trace(
+            medium_circuit, small_device, "ratio_cut", cells, None, subset,
+            trace,
+        )
+        assert divergence is not None and "step 3" in divergence
 
 
 def _disconnected_circuit():
@@ -129,7 +132,7 @@ def _disconnected_circuit():
 
 
 class TestDisconnectedJumpEquivalence:
-    """The jump fallbacks must reproduce exactly on the flat substrate."""
+    """The jump fallbacks agree with the oracle's argmax."""
 
     def test_ratio_cut_jump(self):
         hg = _disconnected_circuit()
@@ -153,38 +156,34 @@ class TestDisconnectedJumpEquivalence:
             ],
         )
         assert report.identical, report.first_divergence
-        # The flat seed-grow result really does span both components
-        # (i.e. the jump branch fired, we did not just skip it).
-        trace = []
-        subset = flat_seed_grow_bipartition(
-            hg, range(6), device, trace=trace
-        )
+        # The seed-grow result really does span both components (i.e.
+        # the jump branch fired, we did not just skip it).
+        subset = seed_grow_bipartition(hg, range(6), device)
         assert {0, 1} & subset and {2, 3, 4, 5} & subset
 
 
+#: sha256 of (assignment, cost key) recorded with the object substrate
+#: still in place; see ``run_digest`` in conftest.py.
+GOLDEN = {
+    "c3540": "3ca65c2c185507812db882f3d2018d5c5d286269a3f42408428c9e4aaec3bca0",
+    "seeded": "d8674f58156391b9e0f6f57b22c73bc844940950eb97f5c223896d88c590b671",
+}
+
+
 class TestWholeRunBitIdentity:
-    """Full fpart runs through the flat constructive phase."""
+    """Full fpart runs through the constructive phase match golden pins."""
 
     @pytest.mark.parametrize("builder_jobs", [1, 4])
-    def test_c3540_xc3042(self, builder_jobs):
+    def test_c3540_xc3042(self, builder_jobs, run_digest):
         hg = mcnc_circuit("c3540", "XC3000")
-        results = {}
-        for backend in ("flat", "object"):
-            config = FpartConfig(backend=backend, builder_jobs=builder_jobs)
-            results[backend] = fpart(hg, XC3042, config=config)
-        assert results["flat"].assignment == results["object"].assignment
-        assert results["flat"].cost.key == results["object"].cost.key
+        result = fpart(hg, XC3042, config=FpartConfig(builder_jobs=builder_jobs))
+        assert run_digest(result.assignment, result.cost.key) == GOLDEN["c3540"]
 
     @pytest.mark.parametrize("builder_jobs", [1, 4])
-    def test_seeded_run_uses_flat_seed_grow(self, builder_jobs):
+    def test_seeded_run_uses_flat_seed_grow(self, builder_jobs, run_digest):
         # seed != 0 puts seed_grow in the portfolio, so this pins the
-        # third flat builder inside the driver, serial and pooled.
+        # third builder inside the driver, serial and pooled.
         hg = generate_circuit("confl-run", num_cells=300, num_ios=24, seed=9)
-        results = {}
-        for backend in ("flat", "object"):
-            config = FpartConfig(
-                backend=backend, builder_jobs=builder_jobs, seed=5
-            )
-            results[backend] = fpart(hg, XC3042, config=config)
-        assert results["flat"].assignment == results["object"].assignment
-        assert results["flat"].cost.key == results["object"].cost.key
+        config = FpartConfig(builder_jobs=builder_jobs, seed=5)
+        result = fpart(hg, XC3042, config=config)
+        assert run_digest(result.assignment, result.cost.key) == GOLDEN["seeded"]

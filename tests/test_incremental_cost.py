@@ -162,14 +162,15 @@ def test_delta_restore_keeps_listener_in_sync() -> None:
 
 
 def test_make_evaluator_honours_config() -> None:
-    inc_cfg = FpartConfig()
-    flat_cfg = FpartConfig(incremental_cost=False)
-    assert isinstance(
-        make_evaluator(DEVICE, inc_cfg, 5, 18), IncrementalCostEvaluator
-    )
-    flat = make_evaluator(DEVICE, flat_cfg, 5, 18)
-    assert isinstance(flat, CostEvaluator)
-    assert not isinstance(flat, IncrementalCostEvaluator)
+    state = _random_state(3)
+    for config in (FpartConfig(), FpartConfig(use_infeasibility_cost=False)):
+        inc = make_evaluator(DEVICE, config, 5, state.hg.num_terminals)
+        assert isinstance(inc, IncrementalCostEvaluator)
+        assert inc.config is config
+        inc.attach(state)
+        oracle = CostEvaluator(DEVICE, config, 5, state.hg.num_terminals)
+        assert inc.current_key(0) == oracle.evaluate(state, 0).key
+        inc.detach()
 
 
 def test_detach_falls_back_to_sweep() -> None:

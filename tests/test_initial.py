@@ -287,6 +287,6 @@ class TestNetTotalHoist:
 
         cells = list(range(8))
         totals = swept_net_totals(two_clusters, cells)
-        before = dict(totals)
+        before = list(totals)
         ratio_cut_sweep(two_clusters, cells, tiny_device, 0, net_total=totals)
         assert totals == before

@@ -240,7 +240,7 @@ class TestBucketProperties:
     )
     @settings(max_examples=80, deadline=None)
     def test_pop_order_is_sorted(self, items):
-        buckets = GainBuckets(5)
+        buckets = GainBuckets(5, 31)
         inserted = {}
         for cell, gain in items:
             if cell not in inserted:

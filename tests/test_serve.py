@@ -197,6 +197,15 @@ class TestJobStateMachine:
         with pytest.raises(JobError, match="delta"):
             JobSpec.from_dict({"netlist": "x", "delta": 2.0})
 
+    def test_delta_defaults_to_device_ratio(self):
+        assert JobSpec.from_dict({"netlist": "x"}).delta == 0.9
+        spec = JobSpec.from_dict({"netlist": "x", "device": "XC2064"})
+        assert spec.delta == 1.0
+        explicit = JobSpec.from_dict({"netlist": "x", "delta": 0.5})
+        assert explicit.delta == 0.5
+        with pytest.raises(JobError, match="unknown device"):
+            JobSpec.from_dict({"netlist": "x", "device": "NOPE"})
+
     def test_job_roundtrips_through_dict(self):
         job = make_job(tenant="team-a", priority=2)
         clone = Job.from_dict(json.loads(json.dumps(job.to_dict())))
@@ -356,6 +365,17 @@ class TestServiceLifecycle:
         assert again["dedup"] == "cached"
         assert again["job"]["job_id"] == job["job_id"]
         # The proof: exactly one task ever reached the pool.
+        assert service.stats()["tasks_submitted"] == 1
+
+    def test_omitted_and_explicit_device_delta_dedupe(
+        self, service, netlist_file
+    ):
+        first = service.submit({"netlist": str(netlist_file)})
+        assert first["job"]["spec"]["delta"] == 0.9
+        wait_terminal(service, first["job"]["job_id"])
+        again = service.submit({"netlist": str(netlist_file), "delta": 0.9})
+        assert again["dedup"] == "cached"
+        assert again["job"]["job_id"] == first["job"]["job_id"]
         assert service.stats()["tasks_submitted"] == 1
 
     def test_inflight_duplicate_attaches(self, service, netlist_file):

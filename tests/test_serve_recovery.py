@@ -106,8 +106,9 @@ def stop_daemon(process):
     process.stderr.close()
 
 
-def direct_assignment(netlist_file, delta=0.1):
-    """The reference run: same request, no daemon in the way."""
+def direct_assignment(netlist_file, delta=0.9):
+    """The reference run: same request, no daemon in the way (an
+    omitted spec delta is the device's own ratio, 0.9 for XC3042)."""
     from repro.hypergraph.io import read_hgr
 
     hg = read_hgr(netlist_file)

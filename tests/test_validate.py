@@ -49,6 +49,13 @@ class TestValidateAssignment:
         with pytest.raises(ValueError, match="negative"):
             validate_assignment(two_clusters, [0] * 7 + [-1], DEV)
 
+    def test_block_id_beyond_num_blocks(self, two_clusters):
+        # A typed error, not an IndexError from the per-block tallies.
+        with pytest.raises(ValueError, match="cell 7 has block 2"):
+            validate_assignment(two_clusters, [0] * 7 + [2], DEV, num_blocks=2)
+        report = validate_assignment(two_clusters, [0] * 7 + [2], DEV)
+        assert report.num_blocks == 3
+
     def test_fpart_result_always_validates(self, medium_circuit, small_device):
         result = fpart(medium_circuit, small_device)
         report = validate_assignment(
