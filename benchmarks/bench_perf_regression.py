@@ -4,7 +4,6 @@ Standalone (NOT a pytest-benchmark bench)::
 
     PYTHONPATH=src python benchmarks/bench_perf_regression.py
     PYTHONPATH=src python benchmarks/bench_perf_regression.py --smoke
-    PYTHONPATH=src python benchmarks/bench_perf_regression.py --profile
 
 Measures two things and writes ``BENCH_perf.json`` at the repo root
 (schema documented in EXPERIMENTS.md):
@@ -20,21 +19,17 @@ Measures two things and writes ``BENCH_perf.json`` at the repo root
    which is what this harness guards against regressing.  The pre-change
    engine re-evaluated the full O(k) sweep (plus a frozen-dataclass
    ``SolutionCost``) after every applied move; the incremental path does
-   an O(1) two-block refresh plus a raw comparison key.  Both are timed
-   over the same recorded move trace on a mid-run FPART state, and the
+   one fused two-block refresh that also rebuilds the raw comparison
+   key, which the engines then read from ``last_key_cell``.  Keys are
+   verified bitwise equal move-for-move, then both paths are timed over
+   the same recorded move trace on a mid-run FPART state, and the
    harness fails (exit 1) if the speedup drops below the floor.
 
-3. **Flat-core case** (schema 9) — the CSR partition core: the
-   whole-run walls of case 1's default path, plus the fused
-   evaluator's per-move window (one listener call, then the key-cell
-   read the engines do) against the pre-change full sweep, keys
-   verified bitwise equal move-for-move first.
-
-4. **Serve-obs case** (schema 6) — the wall-clock overhead of service
+3. **Serve-obs case** (schema 6) — the wall-clock overhead of service
    observability (span tracing, /metrics, journalled span ids) on
    sleep-dominated serve jobs, obs on vs ``obs_enabled=False``.
 
-5. **Prof-overhead case** (schema 7) — the wall-clock overhead of the
+4. **Prof-overhead case** (schema 7) — the wall-clock overhead of the
    sampling profiler (``repro.obs.prof``, default 97 Hz) on whole FPART
    runs, profiled vs unprofiled arms.  The profiler only *reads* frames
    from a background thread, so both arms must stay bit-identical; the
@@ -61,7 +56,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from helpers import (  # noqa: E402
     attach_untracked,
-    min_window,
+    interleaved_min,
     replay_fixture,
 )
 from repro.circuits import mcnc_circuit  # noqa: E402
@@ -100,10 +95,6 @@ SMOKE_GUARD_OVERHEAD_CEILING_PCT = 10.0
 #: metrics-on evaluator path must stay within 2% of metrics-off.
 METRICS_OVERHEAD_CEILING_PCT = 2.0
 SMOKE_METRICS_OVERHEAD_CEILING_PCT = 10.0
-
-#: Minimum acceptable fused-evaluator speedup over the pre-change full
-#: O(k) sweep (the ``evaluator_path`` baseline).
-FLAT_VS_FULL_SWEEP_FLOOR = 3.0
 
 #: Maximum acceptable wall-clock overhead of service observability
 #: (spans + metrics + journalled span ids) on the serve path, in
@@ -193,23 +184,44 @@ def bench_evaluator_path(
 
     Replays one recorded random move trace on a real mid-run partition
     (the workload's final FPART state, whose block count matches a real
-    run) through both evaluator paths.
+    run) through both evaluator paths.  The incremental arm is timed
+    the way the engines read it: one fused listener call refreshes the
+    aggregates *and* the key, then the key cell is read.  Keys are
+    verified bitwise equal move-for-move before anything is timed.
     """
     hg, device, state, k, trace = replay_fixture(circuit, device_name, moves)
     m = device.lower_bound(hg)
     config = FpartConfig()
-
     baseline = state.assignment()
     perf_counter = time.perf_counter
-
-    # Both loops apply the same moves; only the time spent inside the
-    # cost-evaluation work is accumulated (the move itself is common to
-    # both paths and excluded).
 
     # Pre-change path: full O(k) sweep + SolutionCost per applied move
     # (exactly what the engine did before the incremental evaluator).
     legacy = CostEvaluator(device, config, m, hg.num_terminals)
+    # Incremental path: normally riding on ``state.move()`` as a
+    # listener — driven by hand here so it can be timed.
+    inc = IncrementalCostEvaluator(device, config, m, hg.num_terminals)
 
+    def reset() -> None:
+        state.restore(baseline)
+        attach_untracked(inc, state)  # resync after the untracked restore
+        inc.set_remainder(0)
+
+    reset()
+    for cell, to_block in trace:
+        from_block = state.block_of(cell)
+        state.move(cell, to_block)
+        inc.on_move(from_block, to_block)
+        if inc.last_key_cell[0] != legacy.evaluate(state, 0).key:
+            raise SystemExit(
+                "FATAL: incremental evaluator key diverged from the "
+                "full sweep"
+            )
+    reset()
+
+    # Both loops apply the same moves; only the time spent inside the
+    # cost-evaluation work is accumulated (the move itself is common to
+    # both paths and excluded).
     def legacy_loop() -> float:
         total = 0.0
         for cell, to_block in trace:
@@ -219,29 +231,20 @@ def bench_evaluator_path(
             total += perf_counter() - start
         return total
 
-    # Incremental path: the two-block refresh (normally riding on
-    # ``state.move()`` as a listener — driven by hand here so it can be
-    # timed) plus the O(1) raw comparison key.
-    inc = IncrementalCostEvaluator(device, config, m, hg.num_terminals)
-    attach_untracked(inc, state)
-
     def incremental_loop() -> float:
+        on_move = inc.on_move
+        key_cell = inc.last_key_cell
         total = 0.0
         for cell, to_block in trace:
             from_block = state.block_of(cell)
             state.move(cell, to_block)
             start = perf_counter()
-            inc.on_move(from_block, to_block)
-            inc.current_key(0)
+            on_move(from_block, to_block)
+            key_cell[0]  # noqa: B018 — the engine's per-move key read
             total += perf_counter() - start
         return total
 
-    def reset() -> None:
-        state.restore(baseline)
-        attach_untracked(inc, state)  # resync after the untracked restore
-
-    t_legacy = min_window(legacy_loop, reset)
-    t_inc = min_window(incremental_loop, reset)
+    t_legacy, t_inc = interleaved_min(legacy_loop, incremental_loop, reset)
     inc.detach()
 
     t_inc = max(t_inc, 1e-9)
@@ -254,113 +257,16 @@ def bench_evaluator_path(
         "per_move_us_full_sweep": round(t_legacy / moves * 1e6, 3),
         "per_move_us_incremental": round(t_inc / moves * 1e6, 3),
         "speedup": round(speedup, 2),
+        "keys_identical": True,
         "floor": floor,
     }
     print(
         f"evaluator path {circuit}/{device_name} (k={k}, {moves} moves): "
         f"full-sweep={row['per_move_us_full_sweep']}us/move "
         f"incremental={row['per_move_us_incremental']}us/move "
-        f"speedup={speedup:.1f}x (floor {floor}x)"
+        f"speedup={speedup:.1f}x (floor {floor}x, keys identical)"
     )
     return row
-
-
-def bench_flat_core(
-    runs: List[Dict],
-    circuit: str,
-    device_name: str = "XC3042",
-    moves: int = 20000,
-    vs_full_sweep_floor: float = FLAT_VS_FULL_SWEEP_FLOOR,
-) -> Dict:
-    """CSR core: whole-run walls + fused per-move window (DESIGN.md §9).
-
-    ``runs`` are the :func:`bench_whole_runs` rows; their default-path
-    walls are reported as is.  The window replays one recorded trace on
-    ``circuit``'s mid-run state through the pre-change full O(k) sweep
-    and through the fused listener (one call refreshes the aggregates
-    *and* the key; engines read :attr:`last_key_cell`), keys verified
-    bitwise equal move-for-move before anything is timed.
-    """
-    hg, device, state, k, trace = replay_fixture(circuit, device_name, moves)
-    m = device.lower_bound(hg)
-    config = FpartConfig()
-    baseline = state.assignment()
-    perf_counter = time.perf_counter
-
-    legacy = CostEvaluator(device, config, m, hg.num_terminals)
-    fused = IncrementalCostEvaluator(device, config, m, hg.num_terminals)
-
-    def reset() -> None:
-        state.restore(baseline)
-        attach_untracked(fused, state)
-        fused.set_remainder(0)
-
-    reset()
-    # Bitwise key identity move-for-move, before any timing.
-    for cell, to_block in trace:
-        from_block = state.block_of(cell)
-        state.move(cell, to_block)
-        fused.on_move(from_block, to_block)
-        if fused.last_key_cell[0] != legacy.evaluate(state, 0).key:
-            raise SystemExit(
-                "FATAL: fused evaluator key diverged from the full sweep"
-            )
-    reset()
-
-    def legacy_loop() -> float:
-        total = 0.0
-        for cell, to_block in trace:
-            state.move(cell, to_block)
-            start = perf_counter()
-            legacy.evaluate(state, 0).key  # noqa: B018 — timed
-            total += perf_counter() - start
-        return total
-
-    def fused_loop() -> float:
-        on_move = fused.on_move
-        key_cell = fused.last_key_cell
-        total = 0.0
-        for cell, to_block in trace:
-            from_block = state.block_of(cell)
-            state.move(cell, to_block)
-            start = perf_counter()
-            on_move(from_block, to_block)
-            key_cell[0]  # noqa: B018 — the engine's per-move key read
-            total += perf_counter() - start
-        return total
-
-    t_legacy = min_window(legacy_loop, reset)
-    t_fused = max(min_window(fused_loop, reset), 1e-9)
-    fused.detach()
-
-    window = {
-        "circuit": circuit,
-        "device": device_name,
-        "blocks": k,
-        "moves": moves,
-        "per_move_us_full_sweep": round(t_legacy / moves * 1e6, 3),
-        "per_move_us_fused": round(t_fused / moves * 1e6, 3),
-        "speedup_vs_full_sweep": round(t_legacy / t_fused, 2),
-        "keys_identical": True,
-        "vs_full_sweep_floor": vs_full_sweep_floor,
-    }
-    print(
-        f"flat-core window {circuit}/{device_name} (k={k}, {moves} moves): "
-        f"full-sweep={window['per_move_us_full_sweep']}us/move "
-        f"fused={window['per_move_us_fused']}us/move "
-        f"speedup {window['speedup_vs_full_sweep']}x "
-        f"(floor {vs_full_sweep_floor}x)"
-    )
-    walls = [
-        {
-            "circuit": row["circuit"],
-            "device": row["device"],
-            "devices_used": row["devices_used"],
-            "wall_s": row["wall_s_incremental"],
-        }
-        for row in runs
-    ]
-    return {"runs": walls, "window": window}
 
 
 def bench_guard_overhead(
@@ -419,19 +325,10 @@ def bench_guard_overhead(
         state.restore(baseline)
         attach_untracked(inc, state)
 
-    # The two arms are interleaved repeat-by-repeat (null, guarded,
-    # null, guarded, ...) rather than measured as two back-to-back
-    # blocks: the harness runs whole-circuit benches for tens of
-    # seconds before this case, and on throttling hosts the clock
-    # drifts monotonically — a blocked A/A/A/B/B/B order then biases
-    # whichever arm runs second.  Pairing cancels the drift.
-    t_null = float("inf")
-    t_guarded = float("inf")
-    for _ in range(5):
-        t_null = min(t_null, loop(NULL_GUARD))
-        reset()
-        t_guarded = min(t_guarded, loop(live_guard()))
-        reset()
+    t_null, t_guarded = interleaved_min(
+        lambda: loop(NULL_GUARD), lambda: loop(live_guard()), reset,
+        repeats=5,
+    )
     inc.detach()
 
     overhead_pct = (t_guarded / max(t_null, 1e-9) - 1.0) * 100.0
@@ -516,8 +413,10 @@ def bench_metrics_overhead(
         state.restore(baseline)
         attach_untracked(inc, state)
 
-    t_off = min_window(lambda: loop(NULL_METRICS), reset, repeats=5)
-    t_on = min_window(lambda: loop(MetricsRegistry()), reset, repeats=5)
+    t_off, t_on = interleaved_min(
+        lambda: loop(NULL_METRICS), lambda: loop(MetricsRegistry()), reset,
+        repeats=5,
+    )
     inc.detach()
 
     overhead_pct = (t_on / max(t_off, 1e-9) - 1.0) * 100.0
@@ -637,9 +536,9 @@ def bench_serve_obs_overhead(
     measurement) through two in-process :class:`PartitionService`
     instances — one with spans/metrics enabled, one with
     ``obs_enabled=False`` — and reports the relative overhead of the
-    instrumented arm.  Each arm takes the best of ``repeats`` runs to
-    shave scheduler-poll jitter.  Jobs are submitted with ``force=True``
-    so dedup never short-circuits the later arm.
+    instrumented arm.  Each arm takes the best of ``repeats`` interleaved
+    runs to shave scheduler-poll jitter.  Jobs are submitted with
+    ``force=True`` so dedup never short-circuits the later arm.
     """
     import shutil
     import tempfile
@@ -648,57 +547,57 @@ def bench_serve_obs_overhead(
     from repro.hypergraph.io import write_hgr
     from repro.serve import PartitionService, ServiceConfig
 
-    def run_arm(obs_enabled: bool) -> float:
-        best = float("inf")
-        for _ in range(repeats):
-            root = Path(tempfile.mkdtemp(prefix="fpart-obs-bench-"))
-            try:
-                netlist = root / "bench.hgr"
-                write_hgr(
-                    generate_circuit(
-                        "obsbench", num_cells=60, num_ios=10, seed=3
-                    ),
-                    netlist,
+    def run_batch(obs_enabled: bool) -> float:
+        root = Path(tempfile.mkdtemp(prefix="fpart-obs-bench-"))
+        try:
+            netlist = root / "bench.hgr"
+            write_hgr(
+                generate_circuit(
+                    "obsbench", num_cells=60, num_ios=10, seed=3
+                ),
+                netlist,
+            )
+            service = PartitionService(
+                ServiceConfig(
+                    state_dir=str(root / "state"),
+                    jobs=workers,
+                    allow_test_hooks=True,
+                    obs_enabled=obs_enabled,
                 )
-                service = PartitionService(
-                    ServiceConfig(
-                        state_dir=str(root / "state"),
-                        jobs=workers,
-                        allow_test_hooks=True,
-                        obs_enabled=obs_enabled,
-                    )
-                ).start()
-                try:
-                    start = time.perf_counter()
-                    ids = []
-                    for i in range(jobs_count):
-                        response = service.submit(
-                            {
-                                "netlist": str(netlist),
-                                "config": {
-                                    "test_sleep_seconds": sleep_s,
-                                    "seed": i + 1,
-                                },
+            ).start()
+            try:
+                start = time.perf_counter()
+                ids = []
+                for i in range(jobs_count):
+                    response = service.submit(
+                        {
+                            "netlist": str(netlist),
+                            "config": {
+                                "test_sleep_seconds": sleep_s,
+                                "seed": i + 1,
                             },
-                            force=True,
-                        )
-                        assert response["status"] == 201, response
-                        ids.append(response["job"]["job_id"])
-                    terminal = {"done", "degraded", "failed", "cancelled"}
-                    while any(
-                        service.job(job_id)["job"]["state"] not in terminal
-                        for job_id in ids
-                    ):
-                        time.sleep(0.01)
-                    best = min(best, time.perf_counter() - start)
-                finally:
-                    service.close()
+                        },
+                        force=True,
+                    )
+                    assert response["status"] == 201, response
+                    ids.append(response["job"]["job_id"])
+                terminal = {"done", "degraded", "failed", "cancelled"}
+                while any(
+                    service.job(job_id)["job"]["state"] not in terminal
+                    for job_id in ids
+                ):
+                    time.sleep(0.01)
+                return time.perf_counter() - start
             finally:
-                shutil.rmtree(root, ignore_errors=True)
-        return best
+                service.close()
+        finally:
+            shutil.rmtree(root, ignore_errors=True)
 
-    wall_off = run_arm(obs_enabled=False)
-    wall_on = run_arm(obs_enabled=True)
+    wall_off, wall_on = interleaved_min(
+        lambda: run_batch(obs_enabled=False),
+        lambda: run_batch(obs_enabled=True),
+        repeats=repeats,
+    )
     overhead_pct = (wall_on - wall_off) / wall_off * 100.0
     row = {
         "jobs": jobs_count,
@@ -726,14 +625,14 @@ def bench_prof_overhead(
 ) -> Dict:
     """Sampling-profiler overhead on whole FPART runs, on vs off.
 
-    Runs the same workload ``repeats`` times per arm — once plain, once
-    under a live :class:`~repro.obs.prof.SamplingProfiler` at the
-    default 97 Hz — taking the best wall of each arm (the standard
-    best-of-N noise shave for whole-run timing).  Every profiled run's
-    assignment is compared bit-for-bit against the plain run's: the
-    profiler observes frames from another thread and must never perturb
-    the result.  The acceptance bar is ``ceiling_pct`` percent relative
-    overhead.
+    Runs the same workload ``repeats`` times per arm, interleaved — once
+    plain, once under a live :class:`~repro.obs.prof.SamplingProfiler`
+    at the default 97 Hz — taking the best wall of each arm (the
+    standard best-of-N noise shave for whole-run timing).  Every run's
+    assignment is compared bit-for-bit against the first plain run's:
+    the profiler observes frames from another thread and must never
+    perturb the result.  The acceptance bar is ``ceiling_pct`` percent
+    relative overhead.
     """
     from repro.obs.prof import PROF_DEFAULT_HZ, SamplingProfiler
 
@@ -741,10 +640,11 @@ def bench_prof_overhead(
     device = device_by_name(device_name)
     config = FpartConfig()
 
-    def run_once(profiled: bool):
-        sampler = SamplingProfiler(hz=PROF_DEFAULT_HZ) if profiled else None
-        if sampler is not None:
-            sampler.start()
+    assignments = []
+    profiled_runs = []  # (wall, samples) of every profiled run
+
+    def run_once(profiled: bool) -> float:
+        sampler = SamplingProfiler().start() if profiled else None
         try:
             start = time.perf_counter()
             result = fpart(hg, device, config=config)
@@ -752,26 +652,18 @@ def bench_prof_overhead(
         finally:
             if sampler is not None:
                 sampler.stop()
-        return elapsed, result, sampler.samples if sampler else 0
+        if sampler is not None:
+            profiled_runs.append((elapsed, sampler.samples))
+        assignments.append(list(result.assignment))
+        return elapsed
 
-    wall_off = float("inf")
-    wall_on = float("inf")
-    samples = 0
-    reference = None
-    identical = True
-    for _ in range(repeats):
-        t_off, r_off, _ = run_once(profiled=False)
-        t_on, r_on, n_samples = run_once(profiled=True)
-        wall_off = min(wall_off, t_off)
-        if t_on < wall_on:
-            wall_on, samples = t_on, n_samples
-        if reference is None:
-            reference = list(r_off.assignment)
-        if list(r_off.assignment) != reference or (
-            list(r_on.assignment) != reference
-        ):
-            identical = False
-            break
+    wall_off, wall_on = interleaved_min(
+        lambda: run_once(profiled=False),
+        lambda: run_once(profiled=True),
+        repeats=repeats,
+    )
+    samples = min(profiled_runs)[1]
+    identical = all(a == assignments[0] for a in assignments)
     if not identical:
         raise SystemExit(
             f"FATAL: {circuit}/{device_name} assignment diverged under "
@@ -813,11 +705,6 @@ def main(argv=None) -> int:
         default=str(REPO_ROOT / "BENCH_perf.json"),
         help="where to write the JSON report",
     )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="also print a cProfile hotspot table of the largest workload",
-    )
     args = parser.parse_args(argv)
 
     workloads = SMOKE_WORKLOADS if args.smoke else WORKLOADS
@@ -839,7 +726,6 @@ def main(argv=None) -> int:
     evaluator = bench_evaluator_path(
         eval_circuit, "XC3042", moves=moves, floor=floor
     )
-    flat_core = bench_flat_core(runs, eval_circuit, moves=moves)
     guard = bench_guard_overhead(
         eval_circuit, "XC3042", moves=moves, ceiling_pct=guard_ceiling
     )
@@ -876,7 +762,7 @@ def main(argv=None) -> int:
     )
 
     report = {
-        "schema": 9,
+        "schema": 10,
         "generated_utc": time.strftime(
             "%Y-%m-%dT%H:%M:%SZ", time.gmtime()
         ),
@@ -885,7 +771,6 @@ def main(argv=None) -> int:
         "speedup_floor": floor,
         "whole_runs": runs,
         "evaluator_path": evaluator,
-        "flat_core": flat_core,
         "guard_overhead": guard,
         "metrics_overhead": metrics_row,
         "parallel_scaling": parallel_row,
@@ -896,29 +781,11 @@ def main(argv=None) -> int:
     out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     print(f"report written to {out}")
 
-    if args.profile:
-        from repro.analysis.profiling import profile_call
-
-        circuit, device_name = workloads[-1]
-        rep = profile_call(
-            lambda: _time_run(circuit, device_name, incremental=True)
-        )
-        print(f"\nhotspots for {circuit}/{device_name}:")
-        print(rep.render())
-
     failed = False
     if evaluator["speedup"] < floor:
         print(
             f"FAIL: evaluator-path speedup {evaluator['speedup']}x is "
             f"below the {floor}x floor"
-        )
-        failed = True
-    window = flat_core["window"]
-    if window["speedup_vs_full_sweep"] < window["vs_full_sweep_floor"]:
-        print(
-            f"FAIL: flat-core speedup {window['speedup_vs_full_sweep']}x "
-            f"vs the full sweep is below the "
-            f"{window['vs_full_sweep_floor']}x floor"
         )
         failed = True
     if guard["overhead_pct"] > guard_ceiling:

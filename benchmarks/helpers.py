@@ -114,20 +114,27 @@ def attach_untracked(evaluator, state) -> None:
     state.remove_listener(evaluator)
 
 
-def min_window(
-    loop: Callable[[], float],
-    reset: Callable[[], None],
+def interleaved_min(
+    arm_a: Callable[[], float],
+    arm_b: Callable[[], float],
+    reset: Callable[[], None] = lambda: None,
     repeats: int = 3,
-) -> float:
-    """Min-of-``repeats`` of a timed window loop.
+) -> Tuple[float, float]:
+    """Min-of-``repeats`` of two timed arms, run A, B, A, B, ...
 
-    ``loop()`` returns the accumulated in-window seconds of one full
-    trace replay; ``reset()`` restores the fixture between repeats.
-    The minimum is the standard noise-rejecting aggregate for
-    replay-style microbenchmarks.
+    Each arm returns the seconds of one measurement; ``reset()``
+    restores the fixture after every arm call.  The arms are
+    interleaved repeat-by-repeat rather than measured as two blocks:
+    the harness runs whole-circuit benches for tens of seconds before
+    the overhead cases, and on throttling hosts the clock drifts
+    monotonically — a blocked A/A/A/B/B/B order then biases whichever
+    arm runs second.  Pairing cancels the drift; the minimum is the
+    standard noise-rejecting aggregate for replay-style benchmarks.
     """
-    best = float("inf")
+    best_a = best_b = float("inf")
     for _ in range(repeats):
-        best = min(best, loop())
+        best_a = min(best_a, arm_a())
         reset()
-    return best
+        best_b = min(best_b, arm_b())
+        reset()
+    return best_a, best_b

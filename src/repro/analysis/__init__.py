@@ -51,21 +51,9 @@ from .published import (
     PublishedTable,
     published_table_for_device,
 )
-from .profiling import (
-    HotSpot,
-    ProfileReport,
-    profile_call,
-    render_hotspots,
-    time_call,
-)
 from .tables import format_cell, render_table
 
 __all__ = [
-    "HotSpot",
-    "ProfileReport",
-    "profile_call",
-    "render_hotspots",
-    "time_call",
     "ExperimentRecord",
     "MEASURED_METHODS",
     "run_method",

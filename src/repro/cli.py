@@ -129,22 +129,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--verbose", action="store_true", help="per-block detail"
     )
     p.add_argument(
-        "--profile",
-        action="store_true",
-        help="run under cProfile and print a hotspot table",
-    )
-    p.add_argument(
         "--prof",
         action="store_true",
-        help="attach the low-overhead sampling profiler and write "
-        "folded stacks (render with 'fpart flame'; fpart only)",
-    )
-    p.add_argument(
-        "--prof-hz",
-        type=float,
-        default=97.0,
-        metavar="HZ",
-        help="sampling rate for --prof (default 97)",
+        help="attach the low-overhead sampling profiler (97 Hz) to the "
+        "solve and write folded stacks (render with 'fpart flame')",
     )
     p.add_argument(
         "--prof-out",
@@ -664,7 +652,6 @@ def _run_fpart_portfolio(hg, device, args: argparse.Namespace):
     for active, name in (
         (args.checkpoint, "--checkpoint"),
         (args.resume, "--resume"),
-        (args.profile, "--profile"),
         (args.prof, "--prof"),
         (args.trace, "--trace"),
         (args.metrics, "--metrics"),
@@ -717,15 +704,15 @@ def _run_fpart_portfolio(hg, device, args: argparse.Namespace):
     return portfolio.winner
 
 
-def _run_fpart_cli(hg, device, args: argparse.Namespace):
+def _run_fpart_cli(hg, device, args: argparse.Namespace, solve):
     """Run FPART honouring guard/checkpoint/resume/telemetry flags.
 
-    Returns ``(result, profile_report_or_None)``.  Checkpoint loading
-    happens *outside* the profiled callable, so ``--profile --resume``
-    profiles the resumed search segment rather than erroring or
-    polluting the hotspot table with snapshot I/O.  One run id flows
-    end-to-end: a resumed run reuses the checkpoint's id, and the same
-    id stamps trace events, the metrics dump and the result.
+    ``solve`` is :func:`_cmd_partition`'s profiling wrapper; it sees
+    only ``partitioner.run``, so checkpoint loading stays outside the
+    ``--prof`` samples and ``--prof --resume`` profiles the resumed
+    search segment.  One run id flows end-to-end: a resumed run reuses
+    the checkpoint's id, and the same id stamps trace events, the
+    metrics dump and the result.
     """
     from .core import GracefulInterrupt
     from .core.runguard import RunBudget, RunGuard
@@ -773,10 +760,12 @@ def _run_fpart_cli(hg, device, args: argparse.Namespace):
         else NULL_METRICS
     )
     trace_path = args.trace
-    if store is not None and not trace_path:
+    prof_out = None
+    if store is not None:
         run_dir = store.run_dir(run_id)
         run_dir.mkdir(parents=True, exist_ok=True)
-        trace_path = str(run_dir / "trace.jsonl")
+        trace_path = trace_path or str(run_dir / "trace.jsonl")
+        prof_out = str(run_dir / "profile.folded")
     tracer = (
         TraceWriter(trace_path, run_id, sample_moves=args.trace_sample)
         if trace_path
@@ -809,29 +798,13 @@ def _run_fpart_cli(hg, device, args: argparse.Namespace):
         tracer=tracer,
         heartbeat=heartbeat,
     )
-    profile_report = None
-    sampler = None
-    if args.prof:
-        from .obs import SamplingProfiler
-
-        sampler = SamplingProfiler(hz=args.prof_hz)
     interrupt = GracefulInterrupt(guard)
     try:
         interrupt.install()
-        if sampler is not None:
-            sampler.start()
-        if args.profile:
-            from .analysis.profiling import profile_call
-
-            profile_report = profile_call(
-                lambda: partitioner.run(resume_from=resume_cp)
-            )
-            result = profile_report.result
-        else:
-            result = partitioner.run(resume_from=resume_cp)
+        result = solve(
+            lambda: partitioner.run(resume_from=resume_cp), prof_out
+        )
     finally:
-        if sampler is not None:
-            sampler.stop()
         interrupt.restore()
         tracer.close()
     if interrupt.signaled:
@@ -850,33 +823,12 @@ def _run_fpart_cli(hg, device, args: argparse.Namespace):
         print(f"metrics written to {args.metrics}")
     if args.trace:
         print(f"trace written to {args.trace}")
-    if sampler is not None:
-        from .obs import atomic_write_text
-
-        prof_out = args.prof_out
-        if prof_out is None:
-            if store is not None:
-                run_dir = store.run_dir(partitioner.run_id)
-                run_dir.mkdir(parents=True, exist_ok=True)
-                prof_out = str(run_dir / "profile.folded")
-            else:
-                prof_out = "profile.folded"
-        atomic_write_text(prof_out, sampler.folded())
-        print(
-            f"profile: {sampler.samples} samples at {args.prof_hz:g} Hz "
-            f"written to {prof_out}"
-        )
     if store is not None:
-        _record_fpart_run(
-            store, args, config, partitioner, result, metrics,
-            sampler=sampler,
-        )
-    return result, profile_report
+        _record_fpart_run(store, args, config, partitioner, result, metrics)
+    return result
 
 
-def _record_fpart_run(
-    store, args, config, partitioner, result, metrics, sampler=None
-):
+def _record_fpart_run(store, args, config, partitioner, result, metrics):
     """Append the finished run to the ``--runs-dir`` registry."""
     from .core.checkpoint import config_digest
     from .obs import (
@@ -891,7 +843,7 @@ def _record_fpart_run(
     if args.trace:
         # Trace written outside the registry: keep a copy with the run.
         artifacts["trace.jsonl"] = args.trace
-    if sampler is not None and args.prof_out:
+    if args.prof and args.prof_out:
         # Profile written outside the registry: keep a copy with the run.
         artifacts["profile.folded"] = args.prof_out
     if metrics.enabled:
@@ -948,11 +900,10 @@ def _cmd_partition(args: argparse.Namespace) -> int:
         )
     if args.algorithm != "fpart" and (
         args.metrics or args.trace or args.runs_dir or args.progress
-        or args.prof or args.restarts != 1 or args.seed
-        or args.builder_jobs != 1
+        or args.restarts != 1 or args.seed or args.builder_jobs != 1
     ):
         raise PartitioningError(
-            "--metrics/--trace/--runs-dir/--progress/--prof/--restarts/"
+            "--metrics/--trace/--runs-dir/--progress/--restarts/"
             "--seed/--builder-jobs require --algorithm fpart"
         )
     if args.restarts < 1:
@@ -970,20 +921,34 @@ def _cmd_partition(args: argparse.Namespace) -> int:
         "fbb": lambda: fbb_multiway(hg, device),
         "pack": lambda: bfs_pack(hg, device),
     }
-    profile_report = None
+
+    def solve(run, prof_out=None):
+        """Call ``run()``; under --prof, sample exactly that call and
+        write its folded stacks to --prof-out (else ``prof_out``, else
+        ``profile.folded``)."""
+        if not args.prof:
+            return run()
+        from .obs import SamplingProfiler, atomic_write_text
+
+        sampler = SamplingProfiler().start()
+        try:
+            result = run()
+        finally:
+            sampler.stop()
+        path = args.prof_out or prof_out or "profile.folded"
+        atomic_write_text(path, sampler.folded())
+        print(
+            f"profile: {sampler.samples} samples at {sampler.hz:g} Hz "
+            f"written to {path}"
+        )
+        return result
+
     if args.algorithm == "fpart" and args.restarts > 1:
         res = _run_fpart_portfolio(hg, device, args)
     elif args.algorithm == "fpart":
-        # The fpart runner owns profiling itself so --profile composes
-        # with --resume (the checkpoint is loaded outside the profile).
-        res, profile_report = _run_fpart_cli(hg, device, args)
-    elif args.profile:
-        from .analysis.profiling import profile_call
-
-        profile_report = profile_call(runners[args.algorithm])
-        res = profile_report.result
+        res = _run_fpart_cli(hg, device, args, solve)
     else:
-        res = runners[args.algorithm]()
+        res = solve(runners[args.algorithm])
 
     assignment: Optional[List[int]]
     if args.algorithm == "fpart":
@@ -1008,38 +973,6 @@ def _cmd_partition(args: argparse.Namespace) -> int:
             for c in block:
                 assignment[c] = b
         print(res.summary())
-
-    if profile_report is not None:
-        print(f"wall time: {profile_report.elapsed:.3f}s")
-        moves = sum(
-            h.calls
-            for h in profile_report.all_calls
-            if "/partition/" in h.function and h.function.endswith("(move)")
-        )
-        if moves:
-            per_move_us = profile_report.elapsed / moves * 1e6
-            print(
-                f"per-move: {per_move_us:.2f} us "
-                f"({moves} applied moves, whole-run wall / moves)"
-            )
-        # Constructive steps: one sweep move or one grower pick per
-        # step (the sweep's selection happens inside its move).
-        steps = sum(
-            h.calls
-            for h in profile_report.all_calls
-            if "/initial/" in h.function
-            and (
-                h.function.endswith("(move)")
-                or h.function.endswith("(pick)")
-            )
-        )
-        if steps:
-            per_step_us = profile_report.elapsed / steps * 1e6
-            print(
-                f"per-constructive-step: {per_step_us:.2f} us "
-                f"({steps} builder steps, whole-run wall / steps)"
-            )
-        print(profile_report.render())
 
     if args.output and assignment is not None:
         with open(args.output, "w", encoding="ascii") as stream:
@@ -1407,9 +1340,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
             runs_root.parent / "spans.jsonl",
         ):
             if spans_file.exists():
-                from .obs import read_span_log
-
-                span_events = read_span_log(spans_file)
+                span_events = read_trace(spans_file)
                 trace_id = (record.labels or {}).get("trace_id")
                 if trace_id:
                     span_events = [

@@ -80,7 +80,6 @@ from .spans import (
     build_span_tree,
     new_span_id,
     new_trace_id,
-    read_span_log,
     render_span_tree,
 )
 from .runstore import (
@@ -155,7 +154,6 @@ __all__ = [
     "SpanNode",
     "build_span_tree",
     "render_span_tree",
-    "read_span_log",
     "new_trace_id",
     "new_span_id",
 ]

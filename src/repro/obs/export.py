@@ -336,7 +336,6 @@ def trace_to_chrome(
     events: Iterable[dict],
     spans: Optional[Iterable[dict]] = None,
     profile: Optional[str] = None,
-    profile_hz: float = 97.0,
 ) -> dict:
     """Convert a parsed JSONL trace into a catapult trace object.
 
@@ -352,7 +351,7 @@ def trace_to_chrome(
     "service spans" track; ``profile`` merges a folded-stack profile
     (string, see :mod:`repro.obs.prof`) as nested slices on a
     "profile (sampled)" track, each stack weighted by ``count /
-    profile_hz`` seconds.  Span timestamps are epoch while trace
+    PROF_DEFAULT_HZ`` seconds.  Span timestamps are epoch while trace
     timestamps are run-relative, so spans are re-anchored to their own
     earliest event — tracks share the axis but only the trace's own
     events are exact offsets into the run.
@@ -464,9 +463,7 @@ def trace_to_chrome(
     if span_events:
         trace_events.extend(spans_to_chrome_events(span_events))
     if profile:
-        trace_events.extend(
-            profile_to_chrome_events(profile, hz=profile_hz)
-        )
+        trace_events.extend(profile_to_chrome_events(profile))
 
     return {
         "traceEvents": trace_events,
@@ -535,23 +532,24 @@ def spans_to_chrome_events(
 
 
 def profile_to_chrome_events(
-    folded: str, hz: float = 97.0, tid: int = _TID_PROFILE
+    folded: str, tid: int = _TID_PROFILE
 ) -> List[dict]:
     """A folded-stack profile as nested thread slices (flame chart).
 
     Aggregated samples have counts, not timestamps, so the layout is
     *weighted*, not chronological: stacks are laid side by side in
-    sorted order, each occupying ``count / hz`` seconds of synthetic
-    track time, with one nested slice per frame.  The result reads
-    exactly like a flamegraph inside the trace viewer; slice positions
-    do not correspond to when the samples were taken.
+    sorted order, each occupying ``count / PROF_DEFAULT_HZ`` seconds of
+    synthetic track time (every producer samples at that one rate),
+    with one nested slice per frame.  The result reads exactly like a
+    flamegraph inside the trace viewer; slice positions do not
+    correspond to when the samples were taken.
     """
-    from .prof import _build_flame_tree, parse_folded
+    from .prof import PROF_DEFAULT_HZ, _build_flame_tree, parse_folded
 
     root = _build_flame_tree(parse_folded(folded))
     if root.value <= 0:
         return []
-    interval = 1.0 / float(hz)
+    interval = 1.0 / PROF_DEFAULT_HZ
     total = root.value
     out: List[dict] = []
 
@@ -587,16 +585,12 @@ def write_chrome_trace(
     events: Iterable[dict],
     spans: Optional[Iterable[dict]] = None,
     profile: Optional[str] = None,
-    profile_hz: float = 97.0,
 ) -> Path:
     """Atomically write the converted trace; returns the path."""
     return atomic_write_text(
         path,
         json.dumps(
-            trace_to_chrome(
-                events, spans=spans, profile=profile, profile_hz=profile_hz
-            ),
-            indent=1,
+            trace_to_chrome(events, spans=spans, profile=profile), indent=1
         )
         + "\n",
     )

@@ -1,13 +1,12 @@
 """Continuous profiling: sampling profiler, folded stacks, flamegraphs,
 and the per-run algorithm-phase attribution table.
 
-The existing ``repro.analysis.profiling`` wrapper runs the target under
-``cProfile`` — exact call counts, but 2–4× overhead, which distorts the
-very wall-clock shape the perf PRs need to see.  This module adds the
-complementary tool: a **statistical** profiler that samples the running
-thread's Python stack from a background daemon thread via
-``sys._current_frames()`` at a configurable rate.  Design constraints,
-in order:
+This is the repo's one profiler: a **statistical** profiler that
+samples the running thread's Python stack from a background daemon
+thread via ``sys._current_frames()`` at :data:`PROF_DEFAULT_HZ`.
+Exact call counts come from the metrics counters instead (the phase
+table's per-move line), so no tracing profiler distorts the wall-clock
+shape being measured.  Design constraints, in order:
 
 1. **Zero interference with the solve.**  The profiled thread executes
    no extra bytecode; the sampler only *reads* frames from another
@@ -450,7 +449,9 @@ def render_phase_table(
 
     Percentages are of measured wall when known, of attributed time
     otherwise; the footer states the attributed fraction explicitly —
-    the ≥95% contract this repo holds itself to (DESIGN.md §12).
+    the ≥95% contract this repo holds itself to (DESIGN.md §12) — and,
+    when the run tried Sanchis moves, the whole-run wall per move tried
+    (the ``sanchis.moves_tried`` counter).
     """
     rows = phase_table(snapshot, wall_seconds=wall_seconds)
     if not rows:
@@ -484,4 +485,10 @@ def render_phase_table(
         lines.append(
             f"attributed: {100.0 * attributed / wall_seconds:.1f}% of wall"
         )
+        moves = snapshot.get("counters", {}).get("sanchis.moves_tried", 0)
+        if moves:
+            lines.append(
+                f"per-move: {wall_seconds / moves * 1e6:.2f} us "
+                f"({moves} moves tried, whole-run wall / moves)"
+            )
     return "\n".join(lines)

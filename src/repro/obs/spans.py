@@ -65,7 +65,6 @@ __all__ = [
     "SpanNode",
     "build_span_tree",
     "render_span_tree",
-    "read_span_log",
 ]
 
 #: The two span event types (shared with ``repro.obs.trace.EVENT_TYPES``).
@@ -178,23 +177,6 @@ class NullSpanLog(SpanLog):
 
 #: Shared no-op span log used when service observability is disabled.
 NULL_SPANS = NullSpanLog()
-
-
-def read_span_log(path: Union[str, Path]) -> List[dict]:
-    """Parse a ``spans.jsonl`` file into event dicts (bad lines raise)."""
-    events: List[dict] = []
-    with open(path, "r", encoding="utf-8") as stream:
-        for lineno, line in enumerate(stream, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                events.append(json.loads(line))
-            except ValueError as error:
-                raise ValueError(
-                    f"{path}:{lineno}: corrupt span line: {error}"
-                ) from error
-    return events
 
 
 # ---------------------------------------------------------------------------

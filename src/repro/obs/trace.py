@@ -213,7 +213,8 @@ NULL_TRACE = NullTraceWriter()
 
 
 def read_trace(path: Union[str, Path]) -> List[dict]:
-    """Parse a JSONL trace file into a list of event dicts.
+    """Parse a JSONL trace file (or a serve ``spans.jsonl``, which uses
+    the same envelope) into a list of event dicts.
 
     Raises ``ValueError`` with the offending line number on corrupt
     JSON; schema problems are reported by :func:`validate_trace`.

@@ -280,6 +280,11 @@ class TestProfilingCli:
         assert "phase breakdown" in out
         assert "bipartition" in out and "improve" in out
         assert "attributed:" in out
+        # The per-move line divides whole-run wall by the counter.
+        counters = json.loads(metrics.read_text())["metrics"]["counters"]
+        moves = counters["sanchis.moves_tried"]
+        assert f"({moves} moves tried, whole-run wall / moves)" in out
+        assert "per-move: " in out
 
     def test_report_phases_from_runs(self, netlist_file, tmp_path, capsys):
         from repro.obs.runstore import RunStore
@@ -296,12 +301,24 @@ class TestProfilingCli:
         ) == 0
         assert "phase breakdown — run" in capsys.readouterr().out
 
-    def test_prof_requires_fpart(self, netlist_file, capsys):
+    def test_prof_on_baseline_stays_bit_identical(
+        self, netlist_file, tmp_path, capsys
+    ):
+        from repro.obs.prof import parse_folded
+
+        plain_out = tmp_path / "plain.txt"
+        prof_out = tmp_path / "prof.txt"
+        folded = tmp_path / "kwayx.folded"
+        base = ["partition", str(netlist_file), "--device", "XC3020",
+                "--algorithm", "kwayx"]
+        assert main([*base, "--output", str(plain_out)]) == 0
         assert main(
-            ["partition", str(netlist_file), "--device", "XC3020",
-             "--algorithm", "pack", "--prof"]
-        ) != 0
-        assert "fpart" in capsys.readouterr().err
+            [*base, "--output", str(prof_out),
+             "--prof", "--prof-out", str(folded)]
+        ) == 0
+        assert prof_out.read_bytes() == plain_out.read_bytes()
+        parse_folded(folded.read_text())  # well-formed (possibly empty)
+        assert f"written to {folded}" in capsys.readouterr().out
 
     def test_prof_rejected_with_restart_portfolio(
         self, netlist_file, capsys

@@ -266,17 +266,26 @@ class TestChromeTraceMergedChannels:
 
     def test_profile_slices_nest_by_frame_depth(self):
         from repro.obs.export import _TID_PROFILE, profile_to_chrome_events
+        from repro.obs.prof import PROF_DEFAULT_HZ
 
-        folded = "main;solve 8\nmain;solve;evaluate 2\n"
-        events = profile_to_chrome_events(folded, hz=100.0)
+        folded = "main;solve 8\nmain;solve;evaluate 2\nio 5\n"
+        events = profile_to_chrome_events(folded)
         x = [e for e in events if e["ph"] == "X"]
         assert {e["tid"] for e in x} == {_TID_PROFILE}
         by_name = {e["name"]: e for e in x}
-        # 10 samples at 100 Hz = 100ms for main, nested children inside.
-        assert by_name["main"]["dur"] == pytest.approx(100_000)
-        assert by_name["solve"]["dur"] == pytest.approx(100_000)
-        assert by_name["evaluate"]["dur"] == pytest.approx(20_000)
+        # Every producer samples at PROF_DEFAULT_HZ, so a stack of n
+        # samples is n / PROF_DEFAULT_HZ seconds wide, children nested.
+        sample_us = 1e6 / PROF_DEFAULT_HZ
+        assert by_name["main"]["dur"] == pytest.approx(10 * sample_us, abs=0.1)
+        assert by_name["solve"]["dur"] == pytest.approx(10 * sample_us, abs=0.1)
+        assert by_name["evaluate"]["dur"] == pytest.approx(
+            2 * sample_us, abs=0.1
+        )
         assert by_name["evaluate"]["args"]["samples"] == 2
+        # The whole track spans samples / PROF_DEFAULT_HZ seconds.
+        roots = [by_name["io"], by_name["main"]]
+        end = max(e["ts"] + e["dur"] for e in roots)
+        assert end == pytest.approx(15 * sample_us, abs=0.2)
 
     def test_trace_to_chrome_merges_both_channels(self, traced_run):
         from repro.obs.export import _TID_PROFILE, _TID_SPANS
@@ -285,7 +294,6 @@ class TestChromeTraceMergedChannels:
             traced_run,
             spans=SPAN_EVENTS,
             profile="a;b 3\n",
-            profile_hz=97.0,
         )
         tids = {e.get("tid") for e in obj["traceEvents"] if e["ph"] == "X"}
         assert {_TID_SPANS, _TID_PROFILE} <= tids

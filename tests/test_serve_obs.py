@@ -27,7 +27,8 @@ from repro.circuits import generate_circuit
 from repro.hypergraph.io import write_hgr
 from repro.obs.export import parse_openmetrics, validate_openmetrics
 from repro.obs.runstore import RunStore
-from repro.obs.spans import build_span_tree, read_span_log
+from repro.obs.spans import build_span_tree
+from repro.obs.trace import read_trace
 from repro.serve import PartitionService, ServiceConfig
 
 from test_serve_recovery import start_daemon, stop_daemon
@@ -94,7 +95,7 @@ class TestInProcessObservability:
         assert trace_id in journal
 
         # 2. the service span log
-        span_events = read_span_log(tmp_path / "state" / "spans.jsonl")
+        span_events = read_trace(tmp_path / "state" / "spans.jsonl")
         assert any(e["trace_id"] == trace_id for e in span_events)
         (root,) = [
             n
@@ -179,7 +180,7 @@ class TestInProcessObservability:
         samples = parse_openmetrics(service.openmetrics())
         assert sample_value(samples, "serve_retries_total") >= 1.0
         assert sample_value(samples, "serve_retry_delay_ms_count") >= 1.0
-        span_events = read_span_log(tmp_path / "state" / "spans.jsonl")
+        span_events = read_trace(tmp_path / "state" / "spans.jsonl")
         attempts = {
             n.name: n.status
             for root in build_span_tree(span_events)
@@ -408,7 +409,7 @@ class TestDaemonObservability:
 
         # The attempt span orphaned by the SIGKILL was closed as
         # ``crashed`` by recovery — no span leaks across generations.
-        span_events = read_span_log(state_dir / "spans.jsonl")
+        span_events = read_trace(state_dir / "spans.jsonl")
         crashed = [
             e
             for e in span_events

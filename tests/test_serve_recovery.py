@@ -68,6 +68,9 @@ def start_daemon(state_dir, *extra, timeout=20.0):
         env=env,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
+        # Own process group: the daemon's pool workers join it, so
+        # teardown can reap them even after the daemon was SIGKILLed.
+        start_new_session=True,
     )
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
@@ -94,16 +97,49 @@ def start_daemon(state_dir, *extra, timeout=20.0):
                     except Exception:
                         pass
         time.sleep(0.05)
-    process.kill()
+    stop_daemon(process)
     raise AssertionError("daemon did not become healthy in time")
 
 
+def live_group_members(pgid):
+    """PIDs still running in process group ``pgid`` (zombies excluded)."""
+    members = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            stat = (entry / "stat").read_text()
+        except OSError:
+            continue  # exited while we looked
+        # Fields after the parenthesised command: state, ppid, pgrp, ...
+        state, _ppid, pgrp = stat.rsplit(")", 1)[1].split()[:3]
+        if int(pgrp) == pgid and state != "Z":
+            members.append(int(entry.name))
+    return members
+
+
 def stop_daemon(process):
+    """Kill the daemon and every pool worker in its process group.
+
+    A SIGKILLed daemon cannot shut its pool down, so its workers would
+    outlive the test; killing the whole group reaps them, and the
+    assertion proves nothing of the group survives teardown.
+    """
     if process.poll() is None:
         process.kill()
     process.wait(timeout=10)
     process.stdout.close()
     process.stderr.close()
+    try:
+        os.killpg(process.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass  # the group is already empty
+    deadline = time.monotonic() + 10
+    while live_group_members(process.pid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert live_group_members(process.pid) == [], (
+        f"daemon {process.pid} left processes behind"
+    )
 
 
 def direct_assignment(netlist_file, delta=0.9):

@@ -12,9 +12,9 @@ from repro.obs.spans import (
     build_span_tree,
     new_span_id,
     new_trace_id,
-    read_span_log,
     render_span_tree,
 )
+from repro.obs.trace import read_trace
 
 
 class TestIds:
@@ -41,7 +41,7 @@ class TestSpanLog:
         log.end(child, tid, "admitted", wait_ms=3)
         log.end(root, tid, "done")
         log.close()
-        events = read_span_log(tmp_path / "spans.jsonl")
+        events = read_trace(tmp_path / "spans.jsonl")
         assert [e["event"] for e in events] == [
             "span_start",
             "span_start",
@@ -76,7 +76,7 @@ class TestBuildSpanTree:
         b = log.start("attempt[1]", tid, parent_id=root)
         log.end(b, tid, "ok")
         log.end(root, tid, "done")
-        roots = build_span_tree(read_span_log(tmp_path / "s.jsonl"))
+        roots = build_span_tree(read_trace(tmp_path / "s.jsonl"))
         assert len(roots) == 1
         assert roots[0].name == "job"
         assert [c.name for c in roots[0].children] == [
@@ -143,7 +143,7 @@ class TestRenderSpanTree:
         tid = new_trace_id()
         root = log.start("job", tid, job_id="j1")
         log.end(root, tid, "done")
-        text = render_span_tree(read_span_log(tmp_path / "s.jsonl"))
+        text = render_span_tree(read_trace(tmp_path / "s.jsonl"))
         assert tid in text
         assert "job" in text
         assert "done" in text
