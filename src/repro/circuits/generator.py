@@ -25,11 +25,12 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from ..hypergraph import Hypergraph
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["GeneratorParams", "generate_circuit", "seed_from_name"]
 
@@ -116,6 +117,9 @@ def generate_circuit(
         raise ValueError("num_ios must be non-negative")
     if cell_sizes is not None and len(cell_sizes) != num_cells:
         raise ValueError("cell_sizes length mismatch")
+    # Deferred: numpy is only needed here, not at ``import repro``.
+    import numpy as np
+
     rng = np.random.default_rng(
         seed if seed is not None else seed_from_name(name)
     )

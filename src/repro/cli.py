@@ -49,9 +49,7 @@ from .hypergraph import (
     Hypergraph,
     NetlistFormatError,
     compute_stats,
-    read_blif,
-    read_hgr,
-    read_netlist,
+    load_netlist,
     write_blif,
     write_hgr,
     write_netlist,
@@ -67,17 +65,6 @@ EXIT_DEGRADED = 3
 EXIT_DATAERR = 65
 EXIT_NOINPUT = 66
 EXIT_SOFTWARE = 70
-
-
-def _load(path: str) -> Hypergraph:
-    file = Path(path)
-    if not file.exists():
-        raise FileNotFoundError(f"no such netlist file: {path}")
-    if file.suffix == ".nets":
-        return read_netlist(file)
-    if file.suffix == ".blif":
-        return read_blif(file)
-    return read_hgr(file)
 
 
 def _save(hg: Hypergraph, path: str) -> None:
@@ -195,14 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="worker processes for the restart portfolio (default 1 = "
         "in-process)",
-    )
-    p.add_argument(
-        "--builder-jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for constructing initial-bipartition "
-        "candidates; cannot change results (fpart only)",
     )
     p.add_argument(
         "--restart-timeout",
@@ -631,8 +610,6 @@ def _fpart_config(args: argparse.Namespace):
         overrides["strict"] = True
     if args.seed:
         overrides["seed"] = args.seed
-    if args.builder_jobs != 1:
-        overrides["builder_jobs"] = args.builder_jobs
     if not overrides:
         return DEFAULT_CONFIG
     return dataclasses.replace(DEFAULT_CONFIG, **overrides)
@@ -830,12 +807,10 @@ def _run_fpart_cli(hg, device, args: argparse.Namespace, solve):
 
 def _record_fpart_run(store, args, config, partitioner, result, metrics):
     """Append the finished run to the ``--runs-dir`` registry."""
-    from .core.checkpoint import config_digest
     from .obs import (
         RunRecord,
         RunStoreError,
         atomic_write_text,
-        cost_fields,
         render_phase_table,
     )
 
@@ -862,21 +837,7 @@ def _record_fpart_run(store, args, config, partitioner, result, metrics):
             )
             + "\n",
         )
-    record = RunRecord(
-        run_id=partitioner.run_id,
-        circuit=result.circuit,
-        device=result.device,
-        method="FPART",
-        status=result.status,
-        num_devices=result.num_devices,
-        lower_bound=result.lower_bound,
-        feasible=result.feasible,
-        cost=cost_fields(result.cost) if result.cost is not None else None,
-        wall_seconds=result.runtime_seconds,
-        iterations=result.iterations,
-        config_digest=config_digest(config),
-        seed=config.seed,
-    )
+    record = RunRecord.for_fpart(result, partitioner.run_id, config)
     try:
         store.record_run(
             record,
@@ -900,17 +861,17 @@ def _cmd_partition(args: argparse.Namespace) -> int:
         )
     if args.algorithm != "fpart" and (
         args.metrics or args.trace or args.runs_dir or args.progress
-        or args.restarts != 1 or args.seed or args.builder_jobs != 1
+        or args.restarts != 1 or args.seed
     ):
         raise PartitioningError(
             "--metrics/--trace/--runs-dir/--progress/--restarts/"
-            "--seed/--builder-jobs require --algorithm fpart"
+            "--seed require --algorithm fpart"
         )
     if args.restarts < 1:
         raise PartitioningError("--restarts must be at least 1")
     if args.jobs < 1:
         raise PartitioningError("--jobs must be at least 1")
-    hg = _load(args.netlist)
+    hg = load_netlist(args.netlist)
     device = device_by_name(args.device)
     if args.delta is not None:
         device = device.with_delta(args.delta)
@@ -1001,7 +962,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_info(args: argparse.Namespace) -> int:
     from .hypergraph import lint_netlist, render_lint
 
-    hg = _load(args.netlist)
+    hg = load_netlist(args.netlist)
     print(hg)
     print(compute_stats(hg).summary())
     if args.lint:
@@ -1010,7 +971,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    hg = _load(args.netlist)
+    hg = load_netlist(args.netlist)
     device = device_by_name(args.device)
     if args.delta is not None:
         device = device.with_delta(args.delta)
@@ -1028,7 +989,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_split(args: argparse.Namespace) -> int:
     from .hypergraph import split_into_devices
 
-    hg = _load(args.netlist)
+    hg = load_netlist(args.netlist)
     assignment = read_assignment_file(args.assignment, hg)
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -1062,7 +1023,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         )
     from .analysis import generate_report
 
-    hg = _load(args.netlist)
+    hg = load_netlist(args.netlist)
     device = device_by_name(args.device)
     if args.delta is not None:
         device = device.with_delta(args.delta)

@@ -67,9 +67,6 @@ def config_digest(config: FpartConfig) -> str:
         max_moves=None,
         guard_check_interval=256,
         strict=False,
-        # Execution-layer knob: parallel candidate construction is
-        # bit-identical to serial, so it must not fork run lineages.
-        builder_jobs=1,
     )
     return hashlib.sha256(repr(masked).encode("utf-8")).hexdigest()[:16]
 

@@ -118,11 +118,6 @@ class FpartConfig:
     builder (``seed_grow``) in the initial-bipartition portfolio; runs
     remain bit-reproducible per seed.  Multi-seed restarts
     (``--restarts``) run seeds ``seed + 0 .. seed + R-1``."""
-    builder_jobs: int = 1
-    """Worker processes for *constructing* initial-bipartition
-    candidates (the builders are pure functions, so this cannot change
-    results — candidate evaluation always stays serial in portfolio
-    order).  ``1`` builds in-process."""
 
     # --- run guard (budgets & degradation) --------------------------------
     deadline_seconds: Optional[float] = None
@@ -176,8 +171,6 @@ class FpartConfig:
             raise ValueError("max_moves must be non-negative or None")
         if self.guard_check_interval < 1:
             raise ValueError("guard_check_interval must be positive")
-        if self.builder_jobs < 1:
-            raise ValueError("builder_jobs must be positive")
 
     # -- derived caps ----------------------------------------------------
 

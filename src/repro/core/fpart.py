@@ -502,7 +502,6 @@ class FpartPartitioner:
                         device,
                         evaluator,
                         rng=self._rng,
-                        jobs=config.builder_jobs,
                         metrics=metrics,
                     )
 

@@ -25,7 +25,7 @@ measurable quality, so exactly two levels are implemented.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from ..partition import PartitionState
 
@@ -144,16 +144,3 @@ def move_gain_vector(
                 if locked_f == 0:
                     g2 += 1  # one more free move uncuts the net
     return g1, g2
-
-
-def direction_gains(
-    state: PartitionState,
-    cells: Sequence[int],
-    to_block: int,
-    locked_in_block: Sequence[Dict[int, int]],
-) -> List[Tuple[int, int, int]]:
-    """Batch helper: ``(cell, g1, g2)`` for many cells toward one block."""
-    return [
-        (c, *move_gain_vector(state, c, to_block, locked_in_block))
-        for c in cells
-    ]

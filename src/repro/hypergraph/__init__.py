@@ -11,6 +11,7 @@ from .errors import BlifError, NetlistFormatError
 from .hypergraph import Hypergraph
 from .io import (
     dumps_hgr,
+    load_netlist,
     loads_hgr,
     read_hgr,
     read_netlist,
@@ -34,6 +35,7 @@ __all__ = [
     "dumps_hgr",
     "read_netlist",
     "write_netlist",
+    "load_netlist",
     "read_blif",
     "write_blif",
     "loads_blif",

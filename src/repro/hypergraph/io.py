@@ -30,6 +30,7 @@ __all__ = [
     "read_netlist",
     "loads_hgr",
     "dumps_hgr",
+    "load_netlist",
 ]
 
 _PathOrIO = Union[str, Path, TextIO]
@@ -212,3 +213,21 @@ def read_netlist(source: _PathOrIO, name: str = "") -> Hypergraph:
     finally:
         if owned:
             stream.close()
+
+
+def load_netlist(path: Union[str, Path]) -> Hypergraph:
+    """Read a netlist file, choosing the format by extension.
+
+    ``.nets`` is the named netlist, ``.blif`` structural BLIF, and
+    anything else ``.hgr``.
+    """
+    file = Path(path)
+    if not file.exists():
+        raise FileNotFoundError(f"no such netlist file: {path}")
+    if file.suffix == ".nets":
+        return read_netlist(file)
+    if file.suffix == ".blif":
+        from .blif import read_blif
+
+        return read_blif(file)
+    return read_hgr(file)

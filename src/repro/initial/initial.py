@@ -12,14 +12,11 @@ winner is chosen by strict lexicographic comparison with the builder's
 *portfolio index* as tiebreak (the earlier builder wins exact ties),
 which makes the outcome a pure function of the candidate list.
 
-Candidate *construction* is side-effect-free on the partition state, so
-with ``jobs > 1`` the builders run concurrently on a
-:class:`~repro.parallel.pool.WorkerPool`; evaluation always happens
-serially in portfolio order against the live state, so the chosen
-split — and therefore the whole run — is bit-identical for any
-``jobs``.  A builder that fails (in-process or in its worker) simply
-drops out of the portfolio; the degenerate peel-the-biggest-cell
-fallback still guarantees progress when every builder fails.
+Candidate *construction* is side-effect-free on the partition state;
+evaluation happens in portfolio order against the live state.  A
+builder that fails simply drops out of the portfolio; the degenerate
+peel-the-biggest-cell fallback still guarantees progress when every
+builder fails.
 """
 
 from __future__ import annotations
@@ -45,13 +42,11 @@ def build_candidate(
     device: Device,
     rng_seed: Optional[int],
 ) -> Optional[frozenset]:
-    """Run one builder; picklable entry point for pool workers.
+    """Run one builder.
 
     The builder's rng is reconstructed from ``rng_seed`` (an integer
-    drawn by the caller from the run's root rng, in portfolio order),
-    so concurrent construction consumes exactly the same random draws
-    as serial construction.  Returns ``None`` when the builder produced
-    no usable proper subset.
+    drawn by the caller from the run's root rng, in portfolio order).
+    Returns ``None`` when the builder produced no usable proper subset.
     """
     builder = BUILDERS[name]
     rng = random.Random(rng_seed) if rng_seed is not None else None
@@ -74,58 +69,27 @@ def _construct_candidates(
     cells: List[int],
     device: Device,
     rng: Optional[random.Random],
-    jobs: int,
     metrics: MetricsRegistry = NULL_METRICS,
 ) -> List[Set[int]]:
     """All valid candidate subsets, in portfolio order, deduplicated.
 
     The per-builder rng seeds are drawn from the root rng *here, in
-    portfolio order* — the single place randomness enters — which is
-    what keeps serial and concurrent construction bit-identical.
-
-    Serial construction times each builder under its own sub-phase
-    timer (``fpart.phase.bipartition.<builder>``); with ``jobs > 1``
-    the builders overlap in pool workers, so per-builder wall is not
-    observable from here and the whole fan-out is attributed to one
-    ``fpart.phase.bipartition.pool`` slot instead.
+    portfolio order, before any builder runs* — the single place
+    randomness enters.  Each builder is timed under its own sub-phase
+    timer (``fpart.phase.bipartition.<builder>``).
     """
     seeds = [
         rng.getrandbits(64) if rng is not None else None for _ in names
     ]
-    raw: List[Optional[frozenset]] = []
-    if jobs > 1 and len(names) > 1:
-        # Deferred import: repro.parallel.restarts imports core.fpart,
-        # which imports this module — a top-level import here would
-        # close that cycle during package init.
-        from ..parallel.pool import ParallelTask, WorkerPool
-
-        with metrics.timer("fpart.phase.bipartition.pool"):
-            outcomes = WorkerPool(jobs).run(
-                [
-                    ParallelTask(
-                        index=i,
-                        fn=build_candidate,
-                        args=(name, hg, cells, device, seeds[i]),
-                        label=name,
-                    )
-                    for i, name in enumerate(names)
-                ]
-            )
-        raw = [o.value if o.ok else None for o in outcomes]
-    else:
-        for i, name in enumerate(names):
-            try:
-                with metrics.timer(f"fpart.phase.bipartition.{name}"):
-                    raw.append(
-                        build_candidate(name, hg, cells, device, seeds[i])
-                    )
-            except Exception:
-                # Same degradation as a crashed worker: the builder
-                # drops out, the rest of the portfolio still competes.
-                raw.append(None)
     candidates: List[Set[int]] = []
     seen = set()
-    for subset in raw:
+    for name, seed in zip(names, seeds):
+        try:
+            with metrics.timer(f"fpart.phase.bipartition.{name}"):
+                subset = build_candidate(name, hg, cells, device, seed)
+        except Exception:
+            # The builder drops out; the rest of the portfolio competes.
+            continue
         if subset is None or subset in seen:
             continue
         seen.add(subset)
@@ -139,7 +103,6 @@ def create_bipartition(
     device: Device,
     evaluator: CostEvaluator,
     rng: Optional[random.Random] = None,
-    jobs: int = 1,
     metrics: MetricsRegistry = NULL_METRICS,
 ) -> int:
     """Split the remainder block; returns the new block's index.
@@ -150,8 +113,7 @@ def create_bipartition(
     never be made feasible without replication).
 
     ``rng`` is the run's root rng (``None`` = the canonical
-    deterministic run); ``jobs`` parallelizes candidate construction
-    without affecting the result.  ``metrics`` receives the
+    deterministic run).  ``metrics`` receives the
     ``fpart.phase.bipartition.*`` sub-phase timers (per builder, plus
     the candidate-evaluation slot) consumed by ``fpart report --phases``.
     """
@@ -163,7 +125,7 @@ def create_bipartition(
         )
     hg = state.hg
     candidates = _construct_candidates(
-        _portfolio(rng), hg, cells, device, rng, jobs, metrics=metrics
+        _portfolio(rng), hg, cells, device, rng, metrics=metrics
     )
     if not candidates:
         # Degenerate fallback (tiny remainders): peel the biggest cell.

@@ -46,7 +46,9 @@ import shutil
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Dict, Iterator, List, Mapping, Optional, Union
+
+from .trace import cost_fields
 
 try:  # POSIX only; Windows degrades to unlocked single-writer mode.
     import fcntl
@@ -116,6 +118,40 @@ class RunRecord:
     created_utc: str = ""
     labels: Dict[str, str] = field(default_factory=dict)
     schema: int = RUNSTORE_SCHEMA
+
+    @classmethod
+    def for_fpart(
+        cls,
+        result,
+        run_id: str,
+        config,
+        labels: Optional[Mapping[str, str]] = None,
+    ) -> "RunRecord":
+        """The record of one finished FPART run.
+
+        ``result`` is an :class:`~repro.core.fpart.FpartResult` and
+        ``config`` the :class:`~repro.core.config.FpartConfig` it ran
+        under (the source of the digest and the seed).
+        """
+        # Deferred: repro.core imports this package.
+        from ..core.checkpoint import config_digest
+
+        return cls(
+            run_id=run_id,
+            circuit=result.circuit,
+            device=result.device,
+            method="FPART",
+            status=result.status,
+            num_devices=result.num_devices,
+            lower_bound=result.lower_bound,
+            feasible=result.feasible,
+            cost=cost_fields(result.cost) if result.cost is not None else None,
+            wall_seconds=result.runtime_seconds,
+            iterations=result.iterations,
+            config_digest=config_digest(config),
+            seed=config.seed,
+            labels=dict(labels or {}),
+        )
 
     def to_json_line(self) -> str:
         return json.dumps(dataclasses.asdict(self), sort_keys=True)

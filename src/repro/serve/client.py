@@ -161,20 +161,15 @@ class ServeClient:
                 raise ServeClientError(
                     f"stream {job_id}: HTTP {response.status}"
                 )
-            buffer = b""
-            while True:
-                chunk = response.read(4096)
-                if not chunk:
-                    break
-                buffer += chunk
-                while b"\n" in buffer:
-                    line, buffer = buffer.split(b"\n", 1)
-                    if not line.strip():
-                        continue
-                    event = json.loads(line.decode("utf-8"))
-                    yield event
-                    if event.get("event") == "job_end":
-                        return
+            # readline returns as soon as one line has arrived; a sized
+            # read() on a chunked body blocks until the size is filled.
+            for line in iter(response.readline, b""):
+                if not line.strip():
+                    continue
+                event = json.loads(line.decode("utf-8"))
+                yield event
+                if event.get("event") == "job_end":
+                    return
         except (OSError, http.client.HTTPException) as error:
             raise ServeClientError(f"stream {job_id}: {error}") from error
         finally:

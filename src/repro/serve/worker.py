@@ -36,31 +36,16 @@ import time
 from pathlib import Path
 from typing import Any, Dict, Optional
 
-from ..core.checkpoint import CheckpointManager, config_digest
+from ..core.checkpoint import CheckpointManager
 from ..core.config import DEFAULT_CONFIG, FpartConfig
 from ..core.device import device_by_name
 from ..core.exceptions import CheckpointError
 from ..core.fpart import FpartPartitioner
+from ..hypergraph.io import load_netlist
 from ..obs.progress import HeartbeatEmitter
 from ..obs.trace import TraceWriter, cost_fields
 
-__all__ = ["run_partition_job", "load_netlist", "job_config"]
-
-
-def load_netlist(path: str):
-    """Load a netlist by extension, mirroring the CLI's autodetection."""
-    from ..hypergraph.io import read_hgr, read_netlist
-
-    file = Path(path)
-    if not file.exists():
-        raise FileNotFoundError(f"no such netlist file: {path}")
-    if file.suffix == ".nets":
-        return read_netlist(file)
-    if file.suffix == ".blif":
-        from ..hypergraph.blif import read_blif
-
-        return read_blif(file)
-    return read_hgr(file)
+__all__ = ["run_partition_job", "job_config"]
 
 
 def job_config(overrides: Dict[str, Any]) -> FpartConfig:
@@ -209,20 +194,10 @@ def run_partition_job(
 
         try:
             RunStore(runs_dir).record_run(
-                RunRecord(
-                    run_id=run_id,
-                    circuit=result.circuit,
-                    device=result.device,
-                    method="FPART",
-                    status=result.status,
-                    num_devices=result.num_devices,
-                    lower_bound=result.lower_bound,
-                    feasible=result.feasible,
-                    cost=cost,
-                    wall_seconds=result.runtime_seconds,
-                    iterations=result.iterations,
-                    config_digest=config_digest(config),
-                    seed=config.seed,
+                RunRecord.for_fpart(
+                    result,
+                    run_id,
+                    config,
                     labels={
                         "job": job_id,
                         "attempt": str(attempt),

@@ -1,5 +1,9 @@
 """Synthetic circuit generator and MCNC Table 1 stand-ins."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.circuits import (
@@ -15,6 +19,29 @@ from repro.circuits import (
     table1_rows,
 )
 from repro.hypergraph import compute_stats
+
+
+def test_cli_start_does_not_import_numpy():
+    # Only generate_circuit needs numpy; loading the CLI and the
+    # partitioner must not pay for it.
+    probe = (
+        "import sys, repro.cli\n"
+        "from repro.core.fpart import FpartPartitioner\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 class TestGenerator:

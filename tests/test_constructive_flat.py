@@ -9,7 +9,7 @@ Evidence layers for the constructive phase (DESIGN.md section 13):
 * **branch coverage** — the disconnected-circuit jump fallbacks;
 * **golden whole-run pins** — full ``fpart`` runs reproduce the
   assignment and cost-key digests recorded before the object substrate
-  was retired, serial and with a builder pool.
+  was retired, unseeded and seeded.
 """
 
 import random
@@ -173,17 +173,15 @@ GOLDEN = {
 class TestWholeRunBitIdentity:
     """Full fpart runs through the constructive phase match golden pins."""
 
-    @pytest.mark.parametrize("builder_jobs", [1, 4])
-    def test_c3540_xc3042(self, builder_jobs, run_digest):
+    def test_c3540_xc3042(self, run_digest):
         hg = mcnc_circuit("c3540", "XC3000")
-        result = fpart(hg, XC3042, config=FpartConfig(builder_jobs=builder_jobs))
+        result = fpart(hg, XC3042)
         assert run_digest(result.assignment, result.cost.key) == GOLDEN["c3540"]
 
-    @pytest.mark.parametrize("builder_jobs", [1, 4])
-    def test_seeded_run_uses_flat_seed_grow(self, builder_jobs, run_digest):
+    def test_seeded_run_uses_flat_seed_grow(self, run_digest):
         # seed != 0 puts seed_grow in the portfolio, so this pins the
-        # third builder inside the driver, serial and pooled.
+        # third builder inside the driver.
         hg = generate_circuit("confl-run", num_cells=300, num_ios=24, seed=9)
-        config = FpartConfig(builder_jobs=builder_jobs, seed=5)
+        config = FpartConfig(seed=5)
         result = fpart(hg, XC3042, config=config)
         assert run_digest(result.assignment, result.cost.key) == GOLDEN["seeded"]

@@ -12,7 +12,7 @@ Three layers of evidence, matching DESIGN.md section 9:
   (tie-break) order;
 * **golden whole-run pins** — full runs reproduce the assignment and
   cost-key digests recorded before the object substrate was retired:
-  MCNC stand-ins serial and pooled, the ``--restarts`` portfolio
+  MCNC stand-ins, the ``--restarts`` portfolio
   winner, small-M and big-M generated circuits, and a k-way.x baseline.
 """
 
@@ -233,20 +233,18 @@ GOLDEN = {
     "kwayx": "181055558c2349005b4c42f8e4c4657237296b2052d2e06eaf43c1a68102c910",
 }
 
-#: ``config_digest(DEFAULT_CONFIG)`` since ``backend`` and
-#: ``incremental_cost`` left ``FpartConfig``; older checkpoints fail
-#: ``--resume`` with a CheckpointError.
-DEFAULT_CONFIG_DIGEST = "ae1a908be7d737a5"
+#: ``config_digest(DEFAULT_CONFIG)`` since the in-run builder pool's
+#: field left ``FpartConfig``; older checkpoints fail ``--resume`` with
+#: a CheckpointError.
+DEFAULT_CONFIG_DIGEST = "686c52a806884cdd"
 
 
 class TestWholeRunBitIdentity:
     """Full runs reproduce the golden pins bit for bit."""
 
-    @pytest.mark.parametrize("builder_jobs", [1, 4])
-    def test_s9234_xc3042(self, builder_jobs, run_digest):
+    def test_s9234_xc3042(self, run_digest):
         hg = mcnc_circuit("s9234", "XC3000")
-        config = FpartConfig(builder_jobs=builder_jobs)
-        result = fpart(hg, XC3042, config=config)
+        result = fpart(hg, XC3042)
         assert run_digest(result.assignment, result.cost.key) == GOLDEN["s9234"]
         assert result.num_devices == 4
 
@@ -289,9 +287,4 @@ class TestWholeRunBitIdentity:
     def test_checkpoints_interchangeable(self):
         from repro.core.checkpoint import config_digest
 
-        # builder_jobs is an execution knob: pooled and serial runs
-        # share checkpoints.
-        assert config_digest(FpartConfig(builder_jobs=4)) == config_digest(
-            DEFAULT_CONFIG
-        )
         assert config_digest(DEFAULT_CONFIG) == DEFAULT_CONFIG_DIGEST

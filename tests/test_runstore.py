@@ -63,6 +63,41 @@ class TestRunRecord:
         with pytest.raises(RunStoreError, match="malformed"):
             RunRecord.from_dict(raw)
 
+    def test_for_fpart_from_finished_run(self):
+        from repro.circuits import generate_circuit
+        from repro.core import FpartConfig, FpartPartitioner
+        from repro.core.checkpoint import config_digest
+        from repro.core.device import device_by_name
+
+        hg = generate_circuit("rec", num_cells=120, num_ios=16, seed=3)
+        config = FpartConfig(seed=7)
+        result = FpartPartitioner(
+            hg, device_by_name("XC3020"), config
+        ).run()
+        record = RunRecord.for_fpart(
+            result, "run00042", config, labels={"restart": "2"}
+        )
+        assert record.run_id == "run00042"
+        assert (record.circuit, record.device) == ("rec", "XC3020")
+        assert record.method == "FPART"
+        assert record.status == result.status == "feasible"
+        assert record.feasible is True
+        assert record.num_devices == result.num_devices
+        assert record.lower_bound == result.lower_bound
+        assert record.iterations == result.iterations
+        assert record.wall_seconds == result.runtime_seconds
+        assert record.cost == {
+            "f": result.cost.feasible_blocks,
+            "d_k": result.cost.distance,
+            "t_sum": result.cost.total_pins,
+            "d_k_e": result.cost.ext_balance,
+            "cut": result.cost.cut_nets,
+        }
+        assert record.config_digest == config_digest(config)
+        assert record.seed == 7
+        assert record.labels == {"restart": "2"}
+        assert RunRecord.for_fpart(result, "r", config).labels == {}
+
 
 class TestRunStore:
     def test_record_and_read_back(self, tmp_path):

@@ -11,7 +11,9 @@ daemon lives in ``test_serve_recovery.py``.
 
 from __future__ import annotations
 
+import http.server
 import json
+import threading
 import time
 
 import pytest
@@ -620,6 +622,45 @@ class TestHTTP:
         progress = [e for e in events if e.get("event") == "progress"]
         assert progress, "expected heartbeat progress events in the stream"
         assert progress[-1].get("final") is True
+
+    def test_stream_yields_before_body_ends(self):
+        # A stub daemon sends one progress line as a chunk, then holds
+        # the connection open: the client must yield that event at once,
+        # not when the body ends.
+        hold = threading.Event()
+
+        class Handler(http.server.BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
+            def do_GET(self):
+                self.send_response(200)
+                self.send_header("Transfer-Encoding", "chunked")
+                self.end_headers()
+                line = b'{"event": "progress"}\n'
+                self.wfile.write(b"%x\r\n%s\r\n" % (len(line), line))
+                self.wfile.flush()
+                hold.wait(3.0)
+                try:
+                    self.wfile.write(b"0\r\n\r\n")
+                except OSError:
+                    pass  # the client hung up after its first event
+
+            def log_message(self, *args):
+                pass
+
+        server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        try:
+            client = ServeClient("127.0.0.1", server.server_address[1])
+            stream = client.stream("stub", timeout=10)
+            started = time.monotonic()
+            assert next(stream) == {"event": "progress"}
+            assert time.monotonic() - started < 2.0
+            stream.close()
+        finally:
+            hold.set()
+            server.shutdown()
+            server.server_close()
 
     def test_cancel_via_http(self, endpoint, netlist_file):
         service, client = endpoint
