@@ -1353,6 +1353,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import signal
     import threading
 
+    from .obs import atomic_write_text
     from .serve import (
         PartitionService,
         ServiceConfig,
@@ -1385,9 +1386,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # when --port 0 asked the OS to pick one.
     state_dir = Path(args.state_dir)
     endpoint = {"host": host, "port": port, "pid": os.getpid()}
-    tmp = state_dir / "serve.json.tmp"
-    tmp.write_text(json.dumps(endpoint, sort_keys=True), encoding="utf-8")
-    os.replace(tmp, state_dir / "serve.json")
+    atomic_write_text(
+        state_dir / "serve.json", json.dumps(endpoint, sort_keys=True)
+    )
 
     stop = threading.Event()
 

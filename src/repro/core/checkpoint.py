@@ -31,11 +31,11 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
+from ..obs.runstore import atomic_write_text
 from .config import FpartConfig
 from .exceptions import CheckpointError
 
@@ -173,9 +173,7 @@ class CheckpointManager:
 
     def save(self, checkpoint: RunCheckpoint) -> None:
         """Atomic write: a kill mid-save leaves the previous file intact."""
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        tmp.write_text(checkpoint.to_json() + "\n", encoding="utf-8")
-        os.replace(tmp, self.path)
+        atomic_write_text(self.path, checkpoint.to_json() + "\n")
         self.saves += 1
 
     def maybe_save(self, checkpoint: RunCheckpoint) -> bool:

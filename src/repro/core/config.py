@@ -99,8 +99,6 @@ class FpartConfig:
     use_infeasibility_cost: bool = True
     """Select best solutions by the lexicographic infeasibility cost; if
     False, fall back to cut-net count only (ablation: the [9] cost)."""
-    balance_tie_break: bool = True
-    """Among equal-gain moves prefer the one maximizing S_FROM - S_TO."""
 
     improvement_strategy: str = "full"
     """Which Improve() calls Algorithm 1 schedules: ``full`` (the paper's

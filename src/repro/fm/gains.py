@@ -47,14 +47,12 @@ def max_possible_gain(state: PartitionState) -> int:
 
 def move_gain(state: PartitionState, cell: int, to_block: int) -> int:
     """Level-1 gain of moving ``cell`` to ``to_block``."""
-    hg = state.hg
     from_block = state.block_of(cell)
     gain = 0
     counts = state.net_counts
     spans = state.net_spans
     stride = state.stride
-    _, _, offsets, cell_nets = hg.csr.list_mirrors()
-    for e in cell_nets[offsets[cell]:offsets[cell + 1]]:
+    for e in state.hg.cell_nets[cell]:
         base = e * stride
         count_f = counts[base + from_block]
         span = spans[e]
@@ -85,8 +83,7 @@ def pin_gain(state: PartitionState, cell: int, to_block: int) -> int:
     counts = state.net_counts
     spans = state.net_spans
     stride = state.stride
-    _, _, offsets, cell_nets = hg.csr.list_mirrors()
-    for e in cell_nets[offsets[cell]:offsets[cell + 1]]:
+    for e in hg.cell_nets[cell]:
         base = e * stride
         c_f = counts[base + from_block]
         c_t = counts[base + to_block]
@@ -118,15 +115,13 @@ def move_gain_vector(
     ``locked_in_block[e]`` maps ``block -> locked pin count`` for net
     ``e`` in the current pass (cells lock in their destination block).
     """
-    hg = state.hg
     from_block = state.block_of(cell)
     g1 = 0
     g2 = 0
     counts = state.net_counts
     spans = state.net_spans
     stride = state.stride
-    _, _, offsets, cell_nets = hg.csr.list_mirrors()
-    for e in cell_nets[offsets[cell]:offsets[cell + 1]]:
+    for e in state.hg.cell_nets[cell]:
         base = e * stride
         count_f = counts[base + from_block]
         span = spans[e]

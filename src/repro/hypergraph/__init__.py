@@ -6,7 +6,6 @@ type, a builder, subcircuit extraction, text I/O, and statistics.
 
 from .blif import dumps_blif, loads_blif, read_blif, write_blif
 from .builder import HypergraphBuilder
-from .csr import CsrView
 from .errors import BlifError, NetlistFormatError
 from .hypergraph import Hypergraph
 from .io import (
@@ -26,7 +25,6 @@ from .transform import merge_cells, relabel, remove_dangling, split_into_devices
 __all__ = [
     "Hypergraph",
     "HypergraphBuilder",
-    "CsrView",
     "SubcircuitMap",
     "extract_subcircuit",
     "read_hgr",

@@ -14,9 +14,12 @@ more interior cells and zero or more terminal nodes.
 * terminal nodes are integers ``0 .. num_terminals - 1``, each attached to
   exactly one net (a pad drives or is driven by a single signal).
 
-Incidence structures (``cell_nets``) and aggregate quantities (total size
-``S0``) are computed once at construction and shared by every algorithm in
-the package.  Partitioning algorithms never mutate the hypergraph; all
+Incidence is stored once, as two tuples of tuples built at construction:
+``nets`` (net -> pins, in the caller's pin order) and its inverse
+``cell_nets`` (cell -> nets, ascending net order).  Every algorithm in the
+package, the partition core's hot loops included, iterates these tuples
+directly.  Aggregate quantities (total size ``S0``) are computed once
+too.  Partitioning algorithms never mutate the hypergraph; all
 mutable bookkeeping lives in :class:`repro.partition.PartitionState`.
 """
 
@@ -24,8 +27,6 @@ from __future__ import annotations
 
 from collections import deque
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-from .csr import CsrView
 
 __all__ = ["Hypergraph"]
 
@@ -66,7 +67,6 @@ class Hypergraph:
         "_net_drivers",
         "_total_size",
         "_neighbors_cache",
-        "_csr",
         "cell_names",
         "net_names",
     )
@@ -124,9 +124,6 @@ class Hypergraph:
         self._neighbors_cache: List[Optional[Tuple[int, ...]]] = (
             [None] * num_cells
         )
-        # Frozen CSR incidence view (four flat array('i') buffers), built
-        # once here and shared read-only by the partition core.
-        self._csr = CsrView(self._nets, self._cell_nets)
 
         if net_drivers is None:
             self._net_drivers: Tuple[Optional[int], ...] = (None,) * num_nets
@@ -228,9 +225,13 @@ class Hypergraph:
         return self._net_terminal_counts
 
     @property
-    def csr(self) -> CsrView:
-        """Frozen CSR incidence view (see :class:`~repro.hypergraph.csr.CsrView`)."""
-        return self._csr
+    def cell_nets(self) -> Tuple[Tuple[int, ...], ...]:
+        """Per-cell incident net tuples (ascending), indexed by cell.
+
+        The inverse of :attr:`nets`; the partition core's gain and move
+        loops iterate it directly.
+        """
+        return self._cell_nets
 
     def net_driver(self, net: int) -> Optional[int]:
         """Driver cell of ``net`` (None when unknown/external)."""

@@ -82,8 +82,9 @@ def read_hgr(source: _PathOrIO) -> Hypergraph:
     """Read a (possibly extended) hMETIS hypergraph file.
 
     Supports fmt codes 0 (unweighted), 1 (net weights — parsed and
-    dropped, since this package does not weight nets) and 10 (vertex
-    weights).  ``%!terminals`` / ``%!name`` extension comments are honored;
+    dropped, since this package does not weight nets), 10 (vertex
+    weights) and 11 (both); any other fmt code, or a negative net or
+    cell count, raises :class:`NetlistFormatError`.  ``%!terminals`` / ``%!name`` extension comments are honored;
     other ``%`` comments are skipped.
     """
     stream, owned = _open_for(source, "r")
@@ -118,6 +119,10 @@ def read_hgr(source: _PathOrIO) -> Hypergraph:
         num_nets = int(header[0])
         num_cells = int(header[1])
         fmt = int(header[2]) if len(header) > 2 else 0
+        if fmt not in (0, 1, 10, 11):
+            raise NetlistFormatError(f"unsupported hgr fmt code {fmt}")
+        if num_nets < 0 or num_cells < 0:
+            raise NetlistFormatError(f"bad hgr header: {lines[0]!r}")
         has_net_weights = fmt in (1, 11)
         has_cell_weights = fmt in (10, 11)
 

@@ -1,8 +1,8 @@
-"""Constructive bipartition builders (section 3.2) on the CSR substrate.
+"""Constructive bipartition builders (section 3.2).
 
 Three builders split a cell set into the produced block ``P_k`` and the
-rest; all read the hypergraph through its
-:class:`~repro.hypergraph.csr.CsrView` list mirrors.  Block pins follow
+rest; all walk the hypergraph's own incidence tuples (``hg.nets`` and
+``hg.cell_nets``).  Block pins follow
 the :class:`~repro.initial.GrowingBlock` semantics: a net touching the
 block contributes one pin iff it also reaches anything outside it (an
 interior cell anywhere, or a primary I/O pad).
@@ -100,20 +100,20 @@ def swept_net_totals(hg: Hypergraph, cells: Sequence[int]) -> List[int]:
     Constant for the whole bipartition, so :func:`ratio_cut_bipartition`
     computes it once and shares it across its two seed sweeps.
     """
-    _, _, cell_off, cell_nets = hg.csr.list_mirrors()
+    cell_nets = hg.cell_nets
     tot = [0] * hg.num_nets
     for c in cells:
-        for k in range(cell_off[c], cell_off[c + 1]):
-            tot[cell_nets[k]] += 1
+        for e in cell_nets[c]:
+            tot[e] += 1
     return tot
 
 
 class _Context:
-    """Per-builder-call CSR views shared by sweeps and growers.
+    """Per-builder-call incidence shared by sweeps and growers.
 
-    Holds the CSR list mirrors plus ``thr``, the per-net pin threshold
-    that folds :meth:`GrowingBlock._net_counts_pin` into one compare:
-    a net with ``inside`` member pins contributes a pin iff
+    Holds the hypergraph's incidence tuples plus ``thr``, the per-net
+    pin threshold that folds :meth:`GrowingBlock._net_counts_pin` into
+    one compare: a net with ``inside`` member pins contributes a pin iff
     ``0 < inside < thr[e]`` (``thr`` is the interior degree, plus one
     when the net also reaches a primary I/O pad and therefore counts a
     pin even when fully absorbed).
@@ -121,29 +121,22 @@ class _Context:
 
     __slots__ = (
         "hg", "cell_list", "num_cells", "num_nets",
-        "net_off", "net_pins", "cell_off", "cell_nets",
-        "cell_sizes", "thr",
+        "nets", "cell_nets", "cell_sizes", "thr",
         "tot", "swept_size", "swept_pins", "max_deg",
     )
 
     def __init__(self, hg: Hypergraph, cell_list: List[int]) -> None:
-        csr = hg.csr
         self.hg = hg
         self.cell_list = cell_list
-        self.num_cells = csr.num_cells
-        self.num_nets = csr.num_nets
-        (
-            self.net_off,
-            self.net_pins,
-            self.cell_off,
-            self.cell_nets,
-        ) = csr.list_mirrors()
+        self.num_cells = hg.num_cells
+        self.num_nets = hg.num_nets
+        self.nets = hg.nets
+        self.cell_nets = hg.cell_nets
         self.cell_sizes = hg.cell_sizes
         term = hg.net_terminal_counts
-        net_off = self.net_off
         self.thr = [
-            net_off[e + 1] - net_off[e] + (1 if term[e] else 0)
-            for e in range(self.num_nets)
+            len(pins) + (1 if term[e] else 0)
+            for e, pins in enumerate(self.nets)
         ]
         self.tot = None
 
@@ -155,12 +148,12 @@ class _Context:
         """
         if tot is None:
             tot = swept_net_totals(self.hg, self.cell_list)
-        cell_off = self.cell_off
+        cell_nets = self.cell_nets
         cell_sizes = self.cell_sizes
         thr = self.thr
         self.tot = tot
         self.max_deg = max(
-            (cell_off[c + 1] - cell_off[c] for c in self.cell_list), default=0
+            (len(cell_nets[c]) for c in self.cell_list), default=0
         )
         self.swept_size = sum(cell_sizes[c] for c in self.cell_list)
         self.swept_pins = sum(
@@ -204,10 +197,7 @@ class _Sweep:
     def move(self, cell: int) -> None:
         """Move a cell from side B to side A (one constructive step)."""
         ctx = self.ctx
-        cell_off = ctx.cell_off
-        cell_nets = ctx.cell_nets
-        net_off = ctx.net_off
-        net_pins = ctx.net_pins
+        nets = ctx.nets
         tot = ctx.tot
         thr = ctx.thr
         in_a = self.in_a
@@ -221,8 +211,7 @@ class _Sweep:
         a_pins = self.a_pins
         b_pins = self.b_pins
         changed = []
-        for k in range(cell_off[cell], cell_off[cell + 1]):
-            e = cell_nets[k]
+        for e in ctx.cell_nets[cell]:
             t = tot[e]
             i = in_a[e]
             i1 = i + 1
@@ -252,8 +241,7 @@ class _Sweep:
         acc = self._acc
         touched = []
         for e, dg in changed:
-            for k in range(net_off[e], net_off[e + 1]):
-                v = net_pins[k]
+            for v in nets[e]:
                 if in_b[v]:
                     if stamp[v] != token:
                         stamp[v] = token
@@ -272,13 +260,10 @@ class _Sweep:
     def _gain_of(self, v: int) -> int:
         """Full gain (cut reduction) of moving a B-side candidate to A."""
         ctx = self.ctx
-        cell_off = ctx.cell_off
-        cell_nets = ctx.cell_nets
         tot = ctx.tot
         in_a = self.in_a
         g = 0
-        for k in range(cell_off[v], cell_off[v + 1]):
-            e = cell_nets[k]
+        for e in ctx.cell_nets[v]:
             t = tot[e]
             if t < 2:
                 continue
@@ -489,14 +474,11 @@ class _Grower:
     def _apply(self, cell: int):
         """Count a cell into the block; returns per-net contrib deltas."""
         ctx = self.ctx
-        cell_off = ctx.cell_off
-        cell_nets = ctx.cell_nets
         thr = ctx.thr
         inside = self.inside
         pins = self.pins
         changed = []
-        for k in range(cell_off[cell], cell_off[cell + 1]):
-            e = cell_nets[k]
+        for e in ctx.cell_nets[cell]:
             i = inside[e]
             i1 = i + 1
             inside[e] = i1
@@ -515,13 +497,10 @@ class _Grower:
     def _delta_of(self, v: int) -> int:
         """Full pin-delta preview of adding ``v`` to the block."""
         ctx = self.ctx
-        cell_off = ctx.cell_off
-        cell_nets = ctx.cell_nets
         thr = ctx.thr
         inside = self.inside
         d = 0
-        for k in range(cell_off[v], cell_off[v + 1]):
-            e = cell_nets[k]
+        for e in ctx.cell_nets[v]:
             i = inside[e]
             te = thr[e]
             d += (0 < i + 1 < te) - (0 < i < te)
@@ -573,16 +552,13 @@ class _Grower:
         present frontier members shift by the accumulated delta, new
         ones get a full preview.
         """
-        ctx = self.ctx
-        net_off = ctx.net_off
-        net_pins = ctx.net_pins
+        nets = self.ctx.nets
         token = self._token = self._token + 1
         stamp = self._stamp
         acc = self._acc
         touched = []
         for e, dc in changed:
-            for k in range(net_off[e], net_off[e + 1]):
-                v = net_pins[k]
+            for v in nets[e]:
                 if flags[v]:
                     if stamp[v] != token:
                         stamp[v] = token

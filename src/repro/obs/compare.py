@@ -27,6 +27,7 @@ from .runstore import RunRecord, RunStore, RunStoreError
 __all__ = [
     "STATUS_RANK",
     "quality_key",
+    "result_quality_key",
     "RunComparison",
     "compare_records",
     "compare_runs",
@@ -53,20 +54,35 @@ _COST_COMPONENTS: Tuple[Tuple[str, int], ...] = (
 )
 
 
-def quality_key(record: RunRecord) -> Tuple:
-    """Lexicographic quality of one run (smaller compares better).
+#: Status rank of an unknown status or of a candidate that produced no
+#: result at all (worker crash/timeout) — worse than every real status.
+_NO_RESULT_RANK = max(STATUS_RANK.values()) + 1
+
+
+def result_quality_key(
+    status: Optional[str],
+    num_devices: int,
+    cost: Optional[Dict[str, float]],
+) -> Tuple:
+    """Lexicographic quality of one result (smaller compares better).
 
     Order: status rank, device count, then the cost tuple with ``f``
     negated — exactly the ordering :class:`SolutionCost` uses, lifted to
-    whole runs.  Runs without a cost tuple compare on the prefix alone.
+    whole runs.  Results without a cost tuple compare on the prefix
+    alone.  ``status=None`` marks a candidate with no result — it ranks
+    below every completed run but still participates in a reduction, so
+    a fully-dead portfolio reduces to a well-defined (if useless) winner
+    instead of crashing.
     """
-    cost = record.cost or {}
-    return (
-        STATUS_RANK.get(record.status, max(STATUS_RANK.values()) + 1),
-        record.num_devices,
-    ) + tuple(
+    cost = cost or {}
+    return (STATUS_RANK.get(status, _NO_RESULT_RANK), num_devices) + tuple(
         sign * float(cost.get(name, 0.0)) for name, sign in _COST_COMPONENTS
     )
+
+
+def quality_key(record: RunRecord) -> Tuple:
+    """:func:`result_quality_key` of a stored run."""
+    return result_quality_key(record.status, record.num_devices, record.cost)
 
 
 @dataclass(frozen=True)

@@ -26,9 +26,10 @@ catalogue recorded by the partitioner is documented in DESIGN.md
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Union
+
+from .runstore import atomic_write_text
 
 __all__ = [
     "METRICS_SCHEMA",
@@ -358,9 +359,9 @@ class MetricsRegistry:
     ) -> Path:
         """Write the snapshot as a JSON document; returns the path.
 
-        The write is atomic (temp file + ``os.replace``, same pattern
-        as ``repro.core.checkpoint``), so a run killed mid-dump never
-        leaves a truncated metrics file behind.
+        The write is atomic (:func:`~repro.obs.runstore.atomic_write_text`),
+        so a run killed mid-dump never leaves a truncated metrics file
+        behind.
         """
         payload: Dict[str, object] = {
             "schema": METRICS_SCHEMA,
@@ -369,14 +370,9 @@ class MetricsRegistry:
         }
         if extra:
             payload.update(extra)
-        out = Path(path)
-        tmp = out.with_name(out.name + ".tmp")
-        tmp.write_text(
-            json.dumps(payload, indent=1, sort_keys=True) + "\n",
-            encoding="utf-8",
+        return atomic_write_text(
+            path, json.dumps(payload, indent=1, sort_keys=True) + "\n"
         )
-        os.replace(tmp, out)
-        return out
 
 
 class _NullCounter(Counter):

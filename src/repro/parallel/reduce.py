@@ -9,7 +9,8 @@ restarts, sharded sweeps) reduces its candidates with
 1. the paper's lexicographic quality tuple — status rank, device count,
    then ``(f, d_k, T_SUM, d_k^E)`` with ``f`` maximised — exactly the
    ordering :func:`repro.obs.compare.quality_key` applies to stored
-   runs, and
+   runs (:func:`result_quality_key` is that same function, re-exported
+   here for candidates that are not run records), and
 2. the candidate's **submission index** as the final tiebreak.
 
 The index is assigned when the portfolio is *built* (seed index,
@@ -23,9 +24,9 @@ tests in ``tests/test_parallel.py`` pin this invariance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Iterable, List, Tuple
 
-from ..obs.compare import STATUS_RANK
+from ..obs.compare import result_quality_key
 
 __all__ = [
     "Candidate",
@@ -33,43 +34,6 @@ __all__ = [
     "reduce_candidates",
     "rank_candidates",
 ]
-
-#: Cost-tuple components in lexicographic order with comparison sign
-#: (+1 = smaller is better, -1 = larger is better) — the ``cost_fields``
-#: layout shared with :mod:`repro.obs.compare`.
-_COST_COMPONENTS: Tuple[Tuple[str, int], ...] = (
-    ("f", -1),
-    ("d_k", 1),
-    ("t_sum", 1),
-    ("d_k_e", 1),
-)
-
-#: Status rank assigned to candidates that produced no result at all
-#: (worker crash/timeout) — strictly worse than every real status.
-_NO_RESULT_RANK = max(STATUS_RANK.values()) + 1
-
-
-def result_quality_key(
-    status: Optional[str],
-    num_devices: int,
-    cost: Optional[Dict[str, float]],
-) -> Tuple:
-    """Lexicographic quality of one candidate (smaller compares better).
-
-    Mirrors :func:`repro.obs.compare.quality_key` for candidates that
-    are not (yet) :class:`RunRecord` instances.  ``status=None`` marks a
-    candidate with no result — it ranks below every completed run but
-    still participates in the reduction, so a fully-dead portfolio
-    reduces to a well-defined (if useless) winner instead of crashing.
-    """
-    if status is None:
-        rank = _NO_RESULT_RANK
-    else:
-        rank = STATUS_RANK.get(status, _NO_RESULT_RANK)
-    cost = cost or {}
-    return (rank, num_devices) + tuple(
-        sign * float(cost.get(name, 0.0)) for name, sign in _COST_COMPONENTS
-    )
 
 
 @dataclass(frozen=True)

@@ -25,9 +25,9 @@ move in between.  Dropping blocks (``restore_snapshot``) needs no
 re-layout: rewinding empties them, so their columns are already zero.
 Lists rather than ``array('i')`` on purpose: CPython indexes a list
 faster because an array read boxes a fresh int.  The frozen incidence is
-read from the hypergraph's CSR list mirrors
-(:meth:`~repro.hypergraph.csr.CsrView.list_mirrors`).  Hot paths (gain
-kernels, the Sanchis engine) index these lists directly.
+the hypergraph's own tuples (``hg.nets`` and ``hg.cell_nets``), iterated
+directly.  Hot paths (gain kernels, the Sanchis engine) index the
+counter lists directly.
 
 Pin semantics
 -------------
@@ -104,7 +104,6 @@ class PartitionState:
         "_net_pads",
         "_listeners",
         "_journal",
-        "_cell_offsets",
         "_cell_nets",
         "net_counts",
         "net_spans",
@@ -122,7 +121,7 @@ class PartitionState:
         self.hg = hg
         self._cell_sizes: Tuple[int, ...] = hg.cell_sizes
         self._net_pads: Tuple[int, ...] = hg.net_terminal_counts
-        _, _, self._cell_offsets, self._cell_nets = hg.csr.list_mirrors()
+        self._cell_nets = hg.cell_nets
         self._listeners: List[StateListener] = []
         self._journal: List[Tuple[int, int]] = []
         self._block_of: List[int] = [int(b) for b in assignment]
@@ -181,13 +180,12 @@ class PartitionState:
         pins = self._block_pins = [0] * k
         ext = self._block_ext_ios = [0] * k
         net_pads = self._net_pads
-        net_offsets, net_pins, _, _ = hg.csr.list_mirrors()
         total = 0
         cut = 0
-        for e in range(num_nets):
+        for e, net in enumerate(hg.nets):
             base = e * stride
             span = 0
-            for p in net_pins[net_offsets[e]:net_offsets[e + 1]]:
+            for p in net:
                 idx = base + block_of[p]
                 if counts[idx] == 0:
                     span += 1
@@ -419,8 +417,7 @@ class PartitionState:
         net_pads = self._net_pads
         cut_delta = 0
         pins_delta = 0
-        offsets = self._cell_offsets
-        for e in self._cell_nets[offsets[cell]:offsets[cell + 1]]:
+        for e in self._cell_nets[cell]:
             base = e * stride
             if_ = base + from_block
             it = base + to_block

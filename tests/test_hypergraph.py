@@ -1,7 +1,12 @@
 """Unit tests for the core hypergraph type."""
 
+import pickle
+
 import pytest
 
+from repro.circuits import generate_circuit
+from repro.core import fpart
+from repro.core.device import device_by_name
 from repro.hypergraph import Hypergraph
 
 
@@ -73,6 +78,18 @@ class TestAccessors:
         assert bare.cell_label(1) == "x1"
         assert bare.net_label(0) == "e0"
 
+    def test_cell_nets_inverts_nets_in_ascending_order(self):
+        # The partition core's tie-breaks depend on walking each cell's
+        # nets in ascending net order.
+        hg = generate_circuit("cell-nets", num_cells=300, num_ios=30, seed=5)
+        assert len(hg.cell_nets) == hg.num_cells
+        for c in range(hg.num_cells):
+            expected = tuple(
+                e for e, pins in enumerate(hg.nets) if c in pins
+            )
+            assert hg.cell_nets[c] == expected
+            assert hg.nets_of(c) == expected
+
     def test_repr_mentions_counts(self, chain4):
         text = repr(chain4)
         assert "4 cells" in text and "3 nets" in text
@@ -131,3 +148,25 @@ class TestEquality:
         hg = Hypergraph.from_edges(3, [(0, 1), (1, 2)])
         assert hg.num_nets == 2
         assert hg.total_size == 3
+
+
+class TestPickle:
+    """Restart workers receive the hypergraph pickled."""
+
+    def test_round_trip_keeps_incidence(self):
+        hg = generate_circuit("pickle-demo", num_cells=200, num_ios=24, seed=3)
+        hg.neighbors(0)  # pickle with a partly filled neighbour cache
+        copy = pickle.loads(pickle.dumps(hg))
+        assert copy == hg
+        assert copy.name == hg.name
+        assert copy.cell_nets == hg.cell_nets
+        for c in range(hg.num_cells):
+            assert copy.nets_of(c) == hg.nets_of(c)
+        for e in range(hg.num_nets):
+            assert copy.pins_of(e) == hg.pins_of(e)
+
+    def test_fpart_on_copy_matches_original(self):
+        hg = generate_circuit("pickle-run", num_cells=200, num_ios=24, seed=4)
+        device = device_by_name("XC3020")
+        copy = pickle.loads(pickle.dumps(hg))
+        assert fpart(copy, device).assignment == fpart(hg, device).assignment

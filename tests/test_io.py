@@ -7,6 +7,7 @@ import pytest
 from repro.circuits import generate_circuit
 from repro.hypergraph import (
     Hypergraph,
+    NetlistFormatError,
     dumps_hgr,
     loads_hgr,
     read_hgr,
@@ -65,6 +66,29 @@ class TestHgr:
     def test_rejects_bad_header(self):
         with pytest.raises(ValueError, match="header"):
             loads_hgr("7\n")
+
+    @pytest.mark.parametrize("fmt", [2, 7, 100, -1])
+    def test_rejects_unknown_fmt_code(self, fmt):
+        with pytest.raises(NetlistFormatError, match="fmt"):
+            loads_hgr(f"1 2 {fmt}\n1 2\n")
+
+    @pytest.mark.parametrize("header", ["-1 2", "0 -1", "-1 -1 10"])
+    def test_rejects_negative_counts(self, header):
+        with pytest.raises(NetlistFormatError, match="header"):
+            loads_hgr(header + "\n")
+
+    def test_reads_net_and_cell_weights_fmt11(self):
+        hg = loads_hgr("1 2 11\n5 1 2\n3\n4\n")
+        assert hg.pins_of(0) == (0, 1)
+        assert hg.cell_sizes == (3, 4)
+
+    def test_cli_info_rejects_unknown_fmt_with_65(self, tmp_path, capsys):
+        from repro.cli import main
+
+        bad = tmp_path / "fmt.hgr"
+        bad.write_text("2 3 7\n1 2\n2 3\n", encoding="ascii")
+        assert main(["info", str(bad)]) == 65
+        assert "fmt" in capsys.readouterr().err
 
 
 class TestNetlist:
