@@ -18,13 +18,7 @@ The same reduction also powers the constructive builder portfolio in
 """
 
 from .backoff import DEFAULT_RESPAWN_BACKOFF, BackoffPolicy
-from .pool import (
-    TASK_STATUSES,
-    ParallelTask,
-    TaskOutcome,
-    WorkerPool,
-    run_tasks,
-)
+from .pool import TASK_STATUSES, ParallelTask, TaskOutcome, WorkerPool
 from .reduce import (
     Candidate,
     rank_candidates,
@@ -47,7 +41,6 @@ __all__ = [
     "ParallelTask",
     "TaskOutcome",
     "WorkerPool",
-    "run_tasks",
     "Candidate",
     "rank_candidates",
     "reduce_candidates",

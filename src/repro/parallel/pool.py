@@ -26,6 +26,12 @@ Two driving modes share one scheduler:
   of the ``fpart serve`` daemon, where jobs arrive over HTTP for days
   and re-forking a pool per job would dominate small-job latency.
 
+:meth:`WorkerPool.poll` blocks in one ``multiprocessing.connection.wait``
+over the worker pipes and a self-pipe, bounded by the pool's own next
+deadline (a task timeout, the end of a respawn backoff) and the
+caller's optional ``timeout``.  :meth:`WorkerPool.wakeup`, the one
+thread-safe method, cuts that wait short from another thread.
+
 Degradation contract
 --------------------
 The pool never lets one bad task sink the batch:
@@ -65,6 +71,8 @@ daemon cannot afford to run jobs on its scheduler thread.
 from __future__ import annotations
 
 import multiprocessing
+import os
+import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -79,14 +87,10 @@ __all__ = [
     "ParallelTask",
     "TaskOutcome",
     "WorkerPool",
-    "run_tasks",
 ]
 
 #: Possible values of :attr:`TaskOutcome.status`.
 TASK_STATUSES = ("ok", "error", "crashed", "timeout", "not_run")
-
-#: Seconds between scheduler bookkeeping sweeps (liveness + timeouts).
-_POLL_SECONDS = 0.05
 
 
 @dataclass(frozen=True)
@@ -178,10 +182,6 @@ class _WorkerSlot:
         self.task: Optional[ParallelTask] = None
         self.started_at = 0.0
 
-    @property
-    def idle(self) -> bool:
-        return self.task is None
-
     def assign(self, task: ParallelTask) -> None:
         self.task = task
         self.started_at = time.perf_counter()
@@ -264,34 +264,38 @@ class WorkerPool:
         self._respawn_streak = 0
         self._next_spawn_at = 0.0
         self._respawn_budget: Optional[int] = max_respawns
+        # Self-pipe behind wakeup(), non-blocking at both ends.  The
+        # lock only keeps a write from racing close() on the fd.
+        self._selfpipe_r, self._selfpipe_w = os.pipe()
+        os.set_blocking(self._selfpipe_r, False)
+        os.set_blocking(self._selfpipe_w, False)
+        self._selfpipe_lock = threading.Lock()
 
     # -- public API ------------------------------------------------------
 
     def run(self, tasks: Sequence[ParallelTask]) -> List[TaskOutcome]:
-        """Execute every task; outcomes are returned in task order."""
-        tasks = list(tasks)
-        indexes = [t.index for t in tasks]
-        if len(set(indexes)) != len(indexes):
-            raise ValueError("task indexes must be unique")
-        if not tasks:
-            return []
-        if self.jobs == 1 or len(tasks) == 1:
-            return [self._run_inline(task) for task in tasks]
-        self._respawn_budget = (
-            self.max_respawns
-            if self.max_respawns is not None
-            else 2 * len(tasks)
-        )
-        outcomes: Dict[int, TaskOutcome] = {}
+        """Execute every task, then close; outcomes come in task order."""
         try:
+            tasks = list(tasks)
+            indexes = [t.index for t in tasks]
+            if len(set(indexes)) != len(indexes):
+                raise ValueError("task indexes must be unique")
+            if self.jobs == 1 or len(tasks) <= 1:
+                return [self._run_inline(task) for task in tasks]
+            self._respawn_budget = (
+                self.max_respawns
+                if self.max_respawns is not None
+                else 2 * len(tasks)
+            )
+            outcomes: Dict[int, TaskOutcome] = {}
             for task in tasks:
                 self.submit(task)
             while len(outcomes) < len(tasks):
-                for outcome in self.poll(_POLL_SECONDS):
+                for outcome in self.poll():
                     outcomes[outcome.index] = outcome
+            return [outcomes[task.index] for task in tasks]
         finally:
             self.close()
-        return [outcomes[task.index] for task in tasks]
 
     # -- persistent API --------------------------------------------------
 
@@ -310,101 +314,78 @@ class WorkerPool:
             raise ValueError(f"task index {task.index} is already queued")
         self._pending.append(task)
 
-    def poll(self, timeout: float = 0.0) -> List[TaskOutcome]:
-        """One scheduler sweep; returns outcomes in completion order.
+    def poll(self, timeout: Optional[float] = None) -> List[TaskOutcome]:
+        """One scheduler step; returns outcomes in completion order.
 
-        Feeds idle workers, (re)spawns paced by the backoff policy,
-        waits up to ``timeout`` seconds for worker messages, converts
-        broken pipes and expired per-task timeouts into casualty
-        outcomes, and drains unassigned tasks as ``"not_run"`` once the
-        respawn budget is spent with no live worker left.
+        Feeds idle workers, (re)spawns paced by the backoff policy, then
+        waits once — until a worker reports or dies, :meth:`wakeup` is
+        called, the pool's next deadline passes or ``timeout`` seconds
+        elapse — and converts broken pipes and expired per-task
+        timeouts into casualty outcomes.  Unassigned tasks drain as
+        ``"not_run"`` once the respawn budget is spent with no live
+        worker left.  Outcomes already waiting skip the wait.
         """
         self._feed()
-        if self._slots:
-            ready = mp_connection.wait(
-                [slot.conn for slot in self._slots], timeout=timeout
-            )
-            conn_to_slot = {slot.conn: slot for slot in self._slots}
-            for conn in ready:
-                slot = conn_to_slot[conn]
-                try:
-                    message = conn.recv()
-                except (EOFError, OSError):
-                    if slot.task is not None:
-                        self._casualty(slot, "crashed")
-                    else:
-                        self._slots.remove(slot)
-                        slot.reap(kill=True)
-                        self._note_casualty_backoff()
-                    continue
-                self._respawn_streak = 0
-                index, status, value, error, wall = message
-                task = slot.task
-                slot.task = None
+        if self._pending and not self._slots and not self._spawn_allowed():
+            # Every worker is gone and the respawn budget is spent:
+            # drain what never ran.
+            for task in self._pending:
                 self._completed.append(
                     TaskOutcome(
-                        index=index,
-                        status=status,
-                        value=value,
-                        error=error,
-                        wall_seconds=wall,
-                        label=task.label if task is not None else "",
+                        index=task.index,
+                        status="not_run",
+                        error="no live workers remain",
+                        label=task.label,
                     )
                 )
-            now = time.perf_counter()
-            for slot in list(self._slots):
-                if slot.task is None:
-                    continue
-                cap = self._timeout_of(slot.task)
-                if cap is not None and now - slot.started_at > cap:
-                    self._casualty(slot, "timeout")
-            self._feed()
-        elif self._pending:
-            if not self._spawn_allowed():
-                # Every worker is gone and the respawn budget is spent:
-                # drain what never ran.
-                for task in self._pending:
-                    self._completed.append(
-                        TaskOutcome(
-                            index=task.index,
-                            status="not_run",
-                            error="no live workers remain",
-                            label=task.label,
-                        )
-                    )
-                self._pending.clear()
-            elif timeout > 0:
-                # Waiting out the respawn backoff window.
-                wait = self._next_spawn_at - time.perf_counter()
-                if wait > 0:
-                    time.sleep(min(timeout, wait))
-                self._feed()
+            self._pending.clear()
+        conn_to_slot = {slot.conn: slot for slot in self._slots}
+        ready = mp_connection.wait(
+            [*conn_to_slot, self._selfpipe_r], self._wait_seconds(timeout)
+        )
+        for conn in ready:
+            slot = conn_to_slot.get(conn)
+            if slot is None:
+                os.read(self._selfpipe_r, 4096)  # ready: cannot block
+                continue
+            try:
+                message = conn.recv()
+            except (EOFError, OSError):
+                self._casualty(slot, "crashed")
+                continue
+            self._respawn_streak = 0
+            index, status, value, error, wall = message
+            task = slot.task
+            slot.task = None
+            self._completed.append(
+                TaskOutcome(
+                    index=index,
+                    status=status,
+                    value=value,
+                    error=error,
+                    wall_seconds=wall,
+                    label=task.label if task is not None else "",
+                )
+            )
+        now = time.perf_counter()
+        for slot in list(self._slots):
+            deadline = self._deadline_of(slot)
+            if deadline is not None and now > deadline:
+                self._casualty(slot, "timeout")
+        self._feed()
         drained = list(self._completed)
         self._completed.clear()
         return drained
 
-    @property
-    def pending_count(self) -> int:
-        """Tasks queued but not yet handed to a worker."""
-        return len(self._pending)
-
-    @property
-    def running_count(self) -> int:
-        """Tasks currently executing in a worker process."""
-        return sum(1 for slot in self._slots if slot.task is not None)
-
-    @property
-    def respawns_used(self) -> int:
-        """Replacement workers spawned so far (casualty recoveries)."""
-        return self._respawns_used
-
-    def cancel_pending(self, index: int) -> bool:
-        """Drop a queued task before it runs; False if already handed out."""
-        for task in list(self._pending):
-            if task.index == index:
-                self._pending.remove(task)
-                return True
-        return False
+    def wakeup(self) -> None:
+        """End the current or next :meth:`poll` wait; any thread may call."""
+        with self._selfpipe_lock:
+            if self._selfpipe_w < 0:
+                return  # closed: nobody is left to wake
+            try:
+                os.write(self._selfpipe_w, b"\0")
+            except BlockingIOError:
+                pass  # pipe full: the pool is already awake
 
     def kill(self, index: int) -> bool:
         """Terminate the worker running ``index`` (cooperating caller).
@@ -420,18 +401,18 @@ class WorkerPool:
         return False
 
     def close(self) -> None:
-        """Shut every worker down and reset the scheduler state."""
+        """Shut every worker down and release the self-pipe (final)."""
         for slot in self._slots:
             slot.shutdown()
         for slot in self._slots:
             slot.reap(kill=True)
         self._slots = []
         self._pending.clear()
-        self._total_spawns = 0
-        self._respawn_streak = 0
-        self._next_spawn_at = 0.0
-        self._respawns_used = 0
-        self._respawn_budget = self.max_respawns
+        with self._selfpipe_lock:
+            if self._selfpipe_w >= 0:
+                os.close(self._selfpipe_r)
+                os.close(self._selfpipe_w)
+                self._selfpipe_r = self._selfpipe_w = -1
 
     def __enter__(self) -> "WorkerPool":
         return self
@@ -463,10 +444,32 @@ class WorkerPool:
 
     # -- scheduler internals ---------------------------------------------
 
-    def _timeout_of(self, task: ParallelTask) -> Optional[float]:
-        if task.timeout_seconds is not None:
-            return task.timeout_seconds
-        return self.timeout_seconds
+    def _deadline_of(self, slot: _WorkerSlot) -> Optional[float]:
+        """When the slot's running task times out (``None``: never)."""
+        if slot.task is None:
+            return None
+        cap = slot.task.timeout_seconds
+        if cap is None:
+            cap = self.timeout_seconds
+        return None if cap is None else slot.started_at + cap
+
+    def _wait_seconds(self, timeout: Optional[float]) -> Optional[float]:
+        """How long :meth:`poll` may block (``None`` = until an event):
+        the caller's bound or the pool's next deadline, if sooner."""
+        if self._completed:
+            return 0.0
+        now = time.perf_counter()
+        deadlines = [] if timeout is None else [now + timeout]
+        deadlines += [
+            d for d in map(self._deadline_of, self._slots) if d is not None
+        ]
+        if (
+            self._pending
+            and len(self._slots) < self.jobs
+            and self._spawn_allowed()
+        ):
+            deadlines.append(self._next_spawn_at)
+        return max(min(deadlines) - now, 0.0) if deadlines else None
 
     def _spawn(self) -> None:
         if self._ctx is None:
@@ -489,21 +492,20 @@ class WorkerPool:
     def _feed(self) -> None:
         """Bring capacity up for pending work, then hand tasks out."""
         while self._pending and len(self._slots) < self.jobs:
-            if self._total_spawns < self.jobs:
-                self._spawn()  # initial capacity: free and immediate
-                continue
-            # Replacement: bounded by the budget, paced by the backoff.
-            if self._respawn_budget is not None and self._respawn_budget <= 0:
-                break
-            if time.perf_counter() < self._next_spawn_at:
-                break
-            if self._respawn_budget is not None:
-                self._respawn_budget -= 1
-            self._respawns_used += 1
-            self.metrics.counter("parallel.respawns").inc()
+            if self._total_spawns >= self.jobs:
+                # Replacement (initial capacity is free and immediate):
+                # bounded by the budget, paced by the backoff.
+                if not self._spawn_allowed():
+                    break
+                if time.perf_counter() < self._next_spawn_at:
+                    break
+                if self._respawn_budget is not None:
+                    self._respawn_budget -= 1
+                self._respawns_used += 1
+                self.metrics.counter("parallel.respawns").inc()
             self._spawn()
         for slot in self._slots:
-            if slot.idle and self._pending:
+            if slot.task is None and self._pending:
                 task = self._pending.popleft()
                 try:
                     slot.assign(task)
@@ -536,28 +538,21 @@ class WorkerPool:
     def _casualty(
         self, slot: _WorkerSlot, status: str, count_failure: bool = True
     ) -> None:
+        """Reap a lost worker; a task it was running ends as ``status``."""
         task = slot.task
-        assert task is not None
-        self._completed.append(
-            TaskOutcome(
-                index=task.index,
-                status=status,
-                error=f"worker pid={slot.process.pid} {status}",
-                wall_seconds=time.perf_counter() - slot.started_at,
-                label=task.label,
+        if task is not None:
+            self._completed.append(
+                TaskOutcome(
+                    index=task.index,
+                    status=status,
+                    error=f"worker pid={slot.process.pid} {status}",
+                    wall_seconds=time.perf_counter() - slot.started_at,
+                    label=task.label,
+                )
             )
-        )
         slot.task = None
         self._slots.remove(slot)
         slot.reap(kill=True)
         if count_failure:
             self._note_casualty_backoff()
 
-
-def run_tasks(
-    tasks: Sequence[ParallelTask],
-    jobs: int = 1,
-    timeout_seconds: Optional[float] = None,
-) -> List[TaskOutcome]:
-    """One-shot convenience wrapper around :class:`WorkerPool`."""
-    return WorkerPool(jobs, timeout_seconds=timeout_seconds).run(tasks)

@@ -31,10 +31,13 @@ Three kinds of threads touch the service: HTTP handler threads
 (submit/cancel/inspect), the single scheduler thread, and the signal
 path (drain request).  All shared state — job table, journal, counters
 — is mutated under one re-entrant lock.  The :class:`WorkerPool` is
-**not** thread-safe, so pool calls happen exclusively on the scheduler
-thread; HTTP-side cancel only flips table state, and the scheduler
-reconciles (kills the worker, ignores the stale outcome) on its next
-sweep.
+**not** thread-safe apart from ``wakeup()``, so the scheduler thread
+makes every other pool call and blocks only in ``poll()``, until a
+worker reports, a thread has news (submit, cancel, resume, shutdown
+call ``wakeup()``) or the earliest retry backoff runs out.  HTTP-side
+cancel flips table state and wakes the scheduler, which reconciles
+(kills the worker, ignores the stale outcome) at once.  Threads that
+wait on job state use :meth:`PartitionService.wait_for`.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ import time
 import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..core.checkpoint import CheckpointManager, config_digest
 from ..core.exceptions import CheckpointError
@@ -154,11 +157,11 @@ class PartitionService:
         self.jobs_dir.mkdir(parents=True, exist_ok=True)
 
         self._lock = threading.RLock()
+        self._changed = threading.Condition(self._lock)
         self._journal = Journal(self.state_dir / "journal.jsonl")
         self._table = JobTable()
         self._draining = False
         self._closed = False
-        self._wake = threading.Event()
         self._scheduler: Optional[threading.Thread] = None
         #: Test seam: when set, the scheduler parks without admitting —
         #: used to hold the queue saturated deterministically.
@@ -168,7 +171,6 @@ class PartitionService:
             default_policy=config.default_tenant_policy,
             policies=dict(config.tenant_policies),
         )
-        self._pool: Optional[WorkerPool] = None
         self._index_to_job: Dict[int, str] = {}
         self._next_index = 0
         self._stats = {
@@ -186,6 +188,12 @@ class PartitionService:
         else:
             self.metrics = NULL_METRICS
             self.spans = NULL_SPANS
+        self._pool = WorkerPool(  # spawns nothing until the first submit
+            config.jobs,
+            timeout_seconds=config.job_timeout_seconds,
+            max_respawns=None,
+            metrics=self.metrics,
+        )
         self._recover()
 
     def _observe_ms(self, name: str, seconds: float) -> None:
@@ -254,19 +262,28 @@ class PartitionService:
             elif event == "recovered":
                 requeue_counter.inc()
             # Other events ("drain", ...) are audit-only.
-        requeued = 0
+        # Journalled as started but not ended: the previous process
+        # died with these in flight; re-queue to resume from their
+        # checkpoints.  Replay is the only writer that still knows the
+        # open attempt span's id, so it closes it as ``crashed``.
+        self._stats["recovered"] = len(
+            self._requeue_in_flight_locked(
+                "recovered", "crashed", "recovered", recovered=True
+            )
+        )
+
+    def _requeue_in_flight_locked(
+        self, event: str, span_status: str, queued_reason: str, **span_attrs
+    ) -> List[str]:
+        """Fold every admitted/running job back to ``queued``; returns
+        their ids.  ``event`` is journalled before the table changes."""
+        requeued = []
         for job in self._table.by_state("admitted", "running"):
-            # Journalled as started but no terminal event: the previous
-            # process died with it in flight.  Its checkpoint (if any)
-            # carries the completed iterations; re-queue to resume.
-            # The attempt span that process left open is closed here
-            # with ``crashed`` — replay is the only writer that still
-            # knows its id (journalled with the ``admitted`` event).
             attempt_span = job.open_spans.pop("attempt", "")
             if attempt_span:
                 self.spans.end(
-                    attempt_span, job.trace_id, "crashed",
-                    job_id=job.job_id, recovered=True,
+                    attempt_span, job.trace_id, span_status,
+                    job_id=job.job_id, **span_attrs,
                 )
             if job.trace_id and "job" in job.open_spans:
                 job.open_spans["queued"] = self.spans.start(
@@ -274,29 +291,21 @@ class PartitionService:
                     job.trace_id,
                     job.open_spans["job"],
                     job_id=job.job_id,
-                    reason="recovered",
+                    reason=queued_reason,
                 )
-            self._table.apply_raw(job.job_id, "queued")
-            self._journal.append(
-                "recovered", job_id=job.job_id, state="queued"
-            )
-            requeue_counter.inc()
-            requeued += 1
-        self._stats["recovered"] = requeued
+            self._journal.append(event, job_id=job.job_id, state="queued")
+            self._table.set_state(job.job_id, "queued")
+            self.metrics.counter("serve.requeues").inc()
+            requeued.append(job.job_id)
+        return requeued
 
     # -- lifecycle -------------------------------------------------------
 
     def start(self) -> "PartitionService":
-        """Spin up the pool and the scheduler thread."""
+        """Spin up the scheduler thread (it owns the pool)."""
         with self._lock:
             if self._scheduler is not None:
                 raise RuntimeError("service already started")
-            self._pool = WorkerPool(
-                self.config.jobs,
-                timeout_seconds=self.config.job_timeout_seconds,
-                max_respawns=None,
-                metrics=self.metrics,
-            )
             self._scheduler = threading.Thread(
                 target=self._scheduler_loop,
                 name="fpart-serve-scheduler",
@@ -307,14 +316,20 @@ class PartitionService:
 
     def close(self) -> None:
         """Immediate shutdown (no grace); prefer :meth:`drain`."""
-        with self._lock:
-            self._closed = True
-        self._wake.set()
-        if self._scheduler is not None:
-            self._scheduler.join(timeout=10.0)
-            self._scheduler = None
+        self._stop_scheduler(join_seconds=10.0)
         self._journal.close()
         self.spans.close()
+
+    def _stop_scheduler(self, join_seconds: float) -> None:
+        """Stop the scheduler thread, which closes the pool on exit."""
+        with self._lock:
+            self._closed = True
+        self._pool.wakeup()
+        if self._scheduler is not None:
+            self._scheduler.join(timeout=join_seconds)
+            self._scheduler = None
+        else:
+            self._pool.close()  # never started: only the wakeup pipe
 
     def drain(self, timeout: Optional[float] = None) -> Dict:
         """Graceful shutdown: stop admitting, give runners a grace
@@ -328,45 +343,17 @@ class PartitionService:
         with self._lock:
             self._draining = True
             self._journal.append("drain", grace_seconds=grace)
-        self._wake.set()
-        deadline = time.monotonic() + grace
-        while time.monotonic() < deadline:
-            with self._lock:
-                if not self._table.by_state("running", "admitted"):
-                    break
-            time.sleep(0.05)
-        with self._lock:
-            self._closed = True
-        self._wake.set()
-        if self._scheduler is not None:
-            self._scheduler.join(timeout=max(grace, 5.0))
-            self._scheduler = None
+        self.wait_for(
+            lambda: not self._table.by_state("running", "admitted"), grace
+        )
+        self._stop_scheduler(join_seconds=max(grace, 5.0))
         with self._lock:
             # Anything still non-terminal goes back to queued for the
             # next daemon generation; checkpoints make the handoff
             # lossless.
-            requeued = []
-            for job in self._table.by_state("running", "admitted"):
-                attempt_span = job.open_spans.pop("attempt", "")
-                if attempt_span:
-                    self.spans.end(
-                        attempt_span, job.trace_id, "requeued",
-                        job_id=job.job_id, reason="drain",
-                    )
-                if job.trace_id and "job" in job.open_spans:
-                    job.open_spans["queued"] = self.spans.start(
-                        "queued",
-                        job.trace_id,
-                        job.open_spans["job"],
-                        job_id=job.job_id,
-                        reason="drain",
-                    )
-                self._table.set_state(job.job_id, "queued")
-                self._journal.append(
-                    "state", job_id=job.job_id, state="queued"
-                )
-                self.metrics.counter("serve.requeues").inc()
-                requeued.append(job.job_id)
+            requeued = self._requeue_in_flight_locked(
+                "state", "requeued", "drain", reason="drain"
+            )
             self._compact_locked()
             self._journal.close()
             self.spans.close()
@@ -485,7 +472,7 @@ class PartitionService:
             # Write-ahead: journal first, then mutate the table.
             self._journal.append("submitted", job=job.to_dict())
             self._table.add(job)
-        self._wake.set()
+        self._pool.wakeup()
         return {"status": 201, "dedup": None, "job": job.to_dict()}
 
     def cancel(self, job_id: str) -> Dict:
@@ -499,7 +486,8 @@ class PartitionService:
             self._journal.append("state", job_id=job_id, state="cancelled")
             self._table.set_state(job_id, "cancelled")
             self._close_job_spans_locked(job, "cancelled")
-        self._wake.set()
+            self._changed.notify_all()
+        self._pool.wakeup()
         return {"status": 200, "job": job.to_dict()}
 
     def _close_job_spans_locked(self, job: Job, status: str) -> None:
@@ -597,6 +585,16 @@ class PartitionService:
             "folded": folded,
         }
 
+    def wait_for(
+        self, predicate: Callable[[], bool], timeout: Optional[float] = None
+    ) -> bool:
+        """Wait until ``predicate()`` holds (returns its last value).
+
+        It runs under the service lock, re-checked whenever a job enters
+        or leaves ``running`` and when ``timeout`` runs out."""
+        with self._changed:
+            return self._changed.wait_for(predicate, timeout)
+
     def counts(self) -> Dict[str, int]:
         with self._lock:
             return self._table.counts()
@@ -675,32 +673,50 @@ class PartitionService:
     def resume_scheduler(self) -> None:
         with self._lock:
             self._paused = False
-        self._wake.set()
+        self._pool.wakeup()
 
     # -- scheduler (single thread owns the pool) -------------------------
 
     def _scheduler_loop(self) -> None:
         pool = self._pool
-        assert pool is not None
         try:
             while True:
                 with self._lock:
                     if self._closed:
                         break
                     self._admit_due_locked(pool)
-                    running_ids = set(self._index_to_job.values())
-                outcomes = pool.poll(timeout=0.1)
-                for outcome in outcomes:
-                    self._handle_outcome(outcome)
-                self._reconcile_cancellations(pool)
-                if not outcomes:
-                    # Nothing completed: sleep until woken or the next
-                    # retry becomes due.
-                    if not running_ids and not self._wake.is_set():
-                        self._wake.wait(timeout=0.2)
-                    self._wake.clear()
+                    retry_in = self._retry_wait_locked()
+                outcomes = pool.poll(timeout=retry_in)
+                with self._changed:
+                    for outcome in outcomes:
+                        self._handle_outcome_locked(outcome)
+                    if outcomes:
+                        self._changed.notify_all()
+                    # Jobs cancelled HTTP-side still hold a worker.
+                    doomed = [
+                        index
+                        for index, job_id in self._index_to_job.items()
+                        if self._table.get(job_id).state == "cancelled"
+                    ]
+                for index in doomed:
+                    pool.kill(index)
         finally:
             pool.close()
+
+    def _retry_wait_locked(self) -> Optional[float]:
+        """Seconds until the earliest future retry is due, or ``None``.
+
+        A due job held back by full slots needs no timer: only an
+        outcome frees a slot, and an outcome ends the wait itself."""
+        if self._paused or self._draining:
+            return None
+        now = time.time()
+        future = [
+            job.next_attempt_at
+            for job in self._table.by_state("queued")
+            if job.next_attempt_at > now
+        ]
+        return min(future) - now if future else None
 
     def _admit_due_locked(self, pool: WorkerPool) -> None:
         """Move due queued jobs into the pool (lock held)."""
@@ -788,119 +804,107 @@ class PartitionService:
             self._index_to_job[index] = job.job_id
             self._stats["tasks_submitted"] += 1
             free -= 1
+            self._changed.notify_all()
 
-    def _reconcile_cancellations(self, pool: WorkerPool) -> None:
-        """Kill workers whose jobs were cancelled HTTP-side."""
-        with self._lock:
-            doomed = [
-                index
-                for index, job_id in self._index_to_job.items()
-                if job_id in self._table
-                and self._table.get(job_id).state == "cancelled"
-            ]
-        for index in doomed:
-            pool.kill(index)
-
-    def _handle_outcome(self, outcome: TaskOutcome) -> None:
-        with self._lock:
-            job_id = self._index_to_job.pop(outcome.index, None)
-            if job_id is None:
-                return
-            job = self._table.get(job_id)
-            if job.state == "cancelled":
-                # The kill we requested (or a stale completion racing a
-                # cancel): the terminal state already stands.
-                return
-            # The attempt span closes with the pool's verdict whatever
-            # it is — a worker that died mid-span cannot close it, so
-            # the daemon does (status ``crashed``/``timeout``).
-            attempt_span = job.open_spans.pop("attempt", "")
-            if attempt_span:
-                self.spans.end(
-                    attempt_span, job.trace_id, outcome.status,
+    def _handle_outcome_locked(self, outcome: TaskOutcome) -> None:
+        """Apply one pool outcome to the job table (lock held)."""
+        job_id = self._index_to_job.pop(outcome.index, None)
+        if job_id is None:
+            return
+        job = self._table.get(job_id)
+        if job.state == "cancelled":
+            # The kill we requested (or a stale completion racing a
+            # cancel): the terminal state already stands.
+            return
+        # The attempt span closes with the pool's verdict whatever
+        # it is — a worker that died mid-span cannot close it, so
+        # the daemon does (status ``crashed``/``timeout``).
+        attempt_span = job.open_spans.pop("attempt", "")
+        if attempt_span:
+            self.spans.end(
+                attempt_span, job.trace_id, outcome.status,
+                job_id=job_id,
+                wall_ms=round(outcome.wall_seconds * 1000, 1),
+            )
+        self._observe_ms("serve.attempt_wall_ms", outcome.wall_seconds)
+        if outcome.status == "ok":
+            summary = outcome.value
+            state = (
+                "done" if summary.get("status") == "feasible" else "degraded"
+            )
+            self._journal.append(
+                "state", job_id=job_id, state=state, result=summary
+            )
+            self._table.set_state(job_id, state, result=summary)
+            self._stats["completed"] += 1
+            self.metrics.counter("serve.completed").inc()
+            if summary.get("profile_captured"):
+                self.metrics.counter("serve.profiles_captured").inc()
+            self._close_job_spans_locked(job, state)
+            return
+        if outcome.status == "error":
+            # The job itself raised: deterministic, retry would fail
+            # the same way.
+            self._journal.append(
+                "state", job_id=job_id, state="failed", error=outcome.error
+            )
+            self._table.set_state(job_id, "failed", error=outcome.error)
+            self._close_job_spans_locked(job, "failed")
+            return
+        # crashed / timeout / not_run: the environment failed, not
+        # the job.  Retry with backoff until attempts run out, then
+        # degrade to the checkpoint's best-so-far if one exists.
+        if job.attempts < job.max_attempts:
+            delay = self.config.retry_backoff.delay(
+                job.attempts - 1, key=job_id
+            )
+            next_at = time.time() + delay
+            if job.trace_id and "job" in job.open_spans:
+                job.open_spans["queued"] = self.spans.start(
+                    "queued",
+                    job.trace_id,
+                    job.open_spans["job"],
                     job_id=job_id,
-                    wall_ms=round(outcome.wall_seconds * 1000, 1),
+                    reason=outcome.status,
+                    retry_delay_ms=round(delay * 1000, 1),
                 )
-            self._observe_ms("serve.attempt_wall_ms", outcome.wall_seconds)
-            if outcome.status == "ok":
-                summary = outcome.value
-                state = (
-                    "done" if summary.get("status") == "feasible" else "degraded"
+            self._journal.append(
+                "state",
+                job_id=job_id,
+                state="queued",
+                next_attempt_at=next_at,
+                error=outcome.error,
+                open_spans=dict(job.open_spans),
+            )
+            self._table.set_state(
+                job_id, "queued", next_attempt_at=next_at,
+                error=outcome.error,
+            )
+            self._stats["retries"] += 1
+            self.metrics.counter("serve.retries").inc()
+            self._observe_ms("serve.retry_delay_ms", delay)
+        else:
+            summary = self._best_so_far(job_id)
+            if summary is not None:
+                state = "degraded"
+                error = (
+                    f"{outcome.status} after {job.attempts} attempts; "
+                    f"serving checkpoint best-so-far"
                 )
-                self._journal.append(
-                    "state", job_id=job_id, state=state, result=summary
-                )
-                self._table.set_state(job_id, state, result=summary)
-                self._stats["completed"] += 1
-                self.metrics.counter("serve.completed").inc()
-                if summary.get("profile_captured"):
-                    self.metrics.counter("serve.profiles_captured").inc()
-                self._close_job_spans_locked(job, state)
-                return
-            if outcome.status == "error":
-                # The job itself raised: deterministic, retry would fail
-                # the same way.
-                self._journal.append(
-                    "state", job_id=job_id, state="failed", error=outcome.error
-                )
-                self._table.set_state(job_id, "failed", error=outcome.error)
-                self._close_job_spans_locked(job, "failed")
-                return
-            # crashed / timeout / not_run: the environment failed, not
-            # the job.  Retry with backoff until attempts run out, then
-            # degrade to the checkpoint's best-so-far if one exists.
-            if job.attempts < job.max_attempts:
-                delay = self.config.retry_backoff.delay(
-                    job.attempts - 1, key=job_id
-                )
-                next_at = time.time() + delay
-                if job.trace_id and "job" in job.open_spans:
-                    job.open_spans["queued"] = self.spans.start(
-                        "queued",
-                        job.trace_id,
-                        job.open_spans["job"],
-                        job_id=job_id,
-                        reason=outcome.status,
-                        retry_delay_ms=round(delay * 1000, 1),
-                    )
-                self._journal.append(
-                    "state",
-                    job_id=job_id,
-                    state="queued",
-                    next_attempt_at=next_at,
-                    error=outcome.error,
-                    open_spans=dict(job.open_spans),
-                )
-                self._table.set_state(
-                    job_id, "queued", next_attempt_at=next_at,
-                    error=outcome.error,
-                )
-                self._stats["retries"] += 1
-                self.metrics.counter("serve.retries").inc()
-                self._observe_ms("serve.retry_delay_ms", delay)
             else:
-                summary = self._best_so_far(job_id)
-                if summary is not None:
-                    state = "degraded"
-                    error = (
-                        f"{outcome.status} after {job.attempts} attempts; "
-                        f"serving checkpoint best-so-far"
-                    )
-                else:
-                    state = "failed"
-                    error = (
-                        f"{outcome.status} after {job.attempts} attempts "
-                        f"with no checkpoint to degrade to"
-                    )
-                self._journal.append(
-                    "state", job_id=job_id, state=state,
-                    result=summary, error=error,
+                state = "failed"
+                error = (
+                    f"{outcome.status} after {job.attempts} attempts "
+                    f"with no checkpoint to degrade to"
                 )
-                self._table.set_state(
-                    job_id, state, result=summary, error=error
-                )
-                self._close_job_spans_locked(job, state)
-        self._wake.set()
+            self._journal.append(
+                "state", job_id=job_id, state=state,
+                result=summary, error=error,
+            )
+            self._table.set_state(
+                job_id, state, result=summary, error=error
+            )
+            self._close_job_spans_locked(job, state)
 
     def _best_so_far(self, job_id: str) -> Optional[Dict]:
         """Best-so-far summary from the job's checkpoint, if loadable."""

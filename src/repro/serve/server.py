@@ -55,6 +55,7 @@ from typing import Optional, Tuple
 from ..logging import JsonFormatter
 from ..obs.spans import new_trace_id
 from .daemon import PartitionService
+from .jobs import TERMINAL_STATES
 
 __all__ = ["ServeHTTPServer", "make_server", "attach_access_log"]
 
@@ -88,6 +89,10 @@ def attach_access_log(path) -> logging.Handler:
 
 #: Hard cap on how long one stream request will follow a job (seconds).
 STREAM_MAX_SECONDS = 600.0
+
+#: Seconds between tails of ``trace.jsonl``: the worker process writes
+#: it, so no event here marks a new line.  A terminal job ends the wait.
+STREAM_TAIL_SECONDS = 0.1
 
 
 class ServeHTTPServer(ThreadingHTTPServer):
@@ -252,9 +257,13 @@ class _Handler(BaseHTTPRequestHandler):
         deadline = time.monotonic() + STREAM_MAX_SECONDS
         offset = 0
 
+        def ended() -> bool:
+            job = self.service.job(job_id).get("job")
+            return job is None or job["state"] in TERMINAL_STATES
+
         def pump_trace() -> None:
             # Forward only complete lines; a partially written trailing
-            # line waits for the next poll.
+            # line waits for the next tail.
             nonlocal offset
             if not trace_path.exists():
                 return
@@ -271,11 +280,8 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             while time.monotonic() < deadline:
                 pump_trace()
-                view = self.service.job(job_id)
-                job = view.get("job")
-                if job is None or job["state"] in (
-                    "done", "degraded", "failed", "cancelled",
-                ):
+                if self.service.wait_for(ended, STREAM_TAIL_SECONDS):
+                    job = self.service.job(job_id).get("job")
                     # Lines written between the pump above and the state
                     # flipping terminal (e.g. the final heartbeat) must
                     # still reach the client: the job is terminal, so no
@@ -293,7 +299,6 @@ class _Handler(BaseHTTPRequestHandler):
                         )
                     )
                     break
-                time.sleep(0.1)
             self._chunk(b"")  # terminating zero-length chunk
         except (BrokenPipeError, ConnectionResetError):
             pass  # client went away; nothing to clean up

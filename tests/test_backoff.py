@@ -122,28 +122,33 @@ class TestPoolRespawnBackoff:
 
     def test_backoff_actually_paces_wall_clock(self):
         # 3 sequential deaths on 1 worker with a fat, exact delay: the
-        # run cannot finish faster than the sum of the imposed waits.
+        # run cannot finish faster than the sum of the imposed waits,
+        # whether each poll is bounded by its caller or only by the
+        # pool's own respawn deadline.
         policy = BackoffPolicy(
             base_seconds=0.15,
             multiplier=1.0,
             max_seconds=0.15,
             jitter_ratio=0.0,
         )
-        # Persistent mode: forks a real worker even for jobs=1 (run()'s
-        # jobs=1 batch path is inline and would _exit the test runner).
-        start = time.monotonic()
-        outcomes = []
-        with WorkerPool(jobs=1, respawn_backoff=policy) as pool:
-            for i in range(3):
-                pool.submit(ParallelTask(index=i, fn=_die, args=(i,)))
-            while len(outcomes) < 3:
-                outcomes.extend(pool.poll(timeout=0.5))
-        elapsed = time.monotonic() - start
-        assert all(o.status == "crashed" for o in outcomes)
-        # 3 crashes → 3 paced respawns (the last covers the final
-        # replacement worker) but only the waits before a next spawn
-        # matter; be conservative: at least 2 full delays must elapse.
-        assert elapsed >= 2 * 0.15
+        for poll_timeout in (0.5, None):
+            # Persistent mode: forks a real worker even for jobs=1
+            # (run()'s jobs=1 batch path is inline and would _exit the
+            # test runner).
+            start = time.monotonic()
+            outcomes = []
+            with WorkerPool(jobs=1, respawn_backoff=policy) as pool:
+                for i in range(3):
+                    pool.submit(ParallelTask(index=i, fn=_die, args=(i,)))
+                while len(outcomes) < 3:
+                    outcomes.extend(pool.poll(timeout=poll_timeout))
+            elapsed = time.monotonic() - start
+            assert all(o.status == "crashed" for o in outcomes)
+            # 3 crashes → 3 paced respawns (the last covers the final
+            # replacement worker) but only the waits before a next
+            # spawn matter; be conservative: at least 2 full delays
+            # must elapse.
+            assert elapsed >= 2 * 0.15
 
     def test_streak_resets_after_success(self):
         policy = BackoffPolicy(

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import os
 import random
+import sys
+import threading
 import time
 
 import pytest
@@ -45,7 +47,6 @@ from repro.parallel import (
     restart_seed,
     result_quality_key,
     run_restarts,
-    run_tasks,
 )
 from repro.testing import FaultPlan
 
@@ -88,8 +89,8 @@ class TestWorkerPool:
         tasks = [
             ParallelTask(index=i, fn=_square, args=(i,)) for i in range(5)
         ]
-        inline = run_tasks(tasks, jobs=1)
-        pooled = run_tasks(tasks, jobs=2)
+        inline = WorkerPool(1).run(tasks)
+        pooled = WorkerPool(2).run(tasks)
         assert [o.value for o in inline] == [0, 1, 4, 9, 16]
         assert [o.value for o in pooled] == [o.value for o in inline]
         assert all(o.ok for o in pooled)
@@ -101,7 +102,7 @@ class TestWorkerPool:
             ParallelTask(index=1, fn=_sleep_then_square, args=(0.0, 4)),
             ParallelTask(index=2, fn=_sleep_then_square, args=(0.0, 5)),
         ]
-        outcomes = run_tasks(tasks, jobs=3)
+        outcomes = WorkerPool(3).run(tasks)
         assert [o.index for o in outcomes] == [0, 1, 2]
         assert [o.value for o in outcomes] == [9, 16, 25]
 
@@ -111,7 +112,7 @@ class TestWorkerPool:
             ParallelTask(index=1, fn=_boom, args=(1,)),
             ParallelTask(index=2, fn=_square, args=(3,)),
         ]
-        outcomes = run_tasks(tasks, jobs=2)
+        outcomes = WorkerPool(2).run(tasks)
         assert [o.status for o in outcomes] == ["ok", "error", "ok"]
         assert "boom 1" in outcomes[1].error
         assert outcomes[0].value == 4 and outcomes[2].value == 9
@@ -122,20 +123,18 @@ class TestWorkerPool:
             ParallelTask(index=1, fn=_die, args=(0,)),
             ParallelTask(index=2, fn=_square, args=(7,)),
         ]
-        outcomes = run_tasks(tasks, jobs=2)
+        outcomes = WorkerPool(2).run(tasks)
         assert outcomes[1].status == "crashed"
         assert outcomes[1].error is not None
         assert outcomes[0].value == 36 and outcomes[2].value == 49
 
     def test_hung_task_times_out(self):
         start = time.monotonic()
-        outcomes = run_tasks(
+        outcomes = WorkerPool(2, timeout_seconds=0.8).run(
             [
                 ParallelTask(index=0, fn=_hang, args=(0,)),
                 ParallelTask(index=1, fn=_square, args=(8,)),
-            ],
-            jobs=2,
-            timeout_seconds=0.8,
+            ]
         )
         assert outcomes[0].status == "timeout"
         assert outcomes[1].value == 64
@@ -145,13 +144,90 @@ class TestWorkerPool:
         with pytest.raises(ValueError):
             WorkerPool(jobs=0)
         with pytest.raises(ValueError):
-            run_tasks(
+            WorkerPool(1).run(
                 [
                     ParallelTask(index=0, fn=_square, args=(1,)),
                     ParallelTask(index=0, fn=_square, args=(2,)),
-                ],
-                jobs=1,
+                ]
             )
+
+    def test_unbounded_poll_returns_on_wakeup(self):
+        # An idle worker gives the wait nothing to end it: only the
+        # wakeup from another thread can.
+        with WorkerPool(1) as pool:
+            pool.submit(ParallelTask(index=0, fn=_square, args=(2,)))
+            done = []
+            while not done:
+                done = pool.poll()
+            assert done[0].value == 4
+            waker = threading.Timer(0.2, pool.wakeup)
+            waker.start()
+            start = time.monotonic()
+            assert pool.poll() == []
+            assert time.monotonic() - start < 2.0
+            waker.join()
+
+    def test_unbounded_poll_still_times_out_hung_task(self):
+        # With no caller timeout the wait is bounded by the task's own
+        # deadline, so the hang still surfaces as "timeout".
+        start = time.monotonic()
+        with WorkerPool(1, timeout_seconds=0.5) as pool:
+            pool.submit(ParallelTask(index=0, fn=_hang, args=(0,)))
+            done = []
+            while not done:
+                done = pool.poll()
+        assert done[0].status == "timeout"
+        assert time.monotonic() - start < 20.0
+
+    def test_wakeup_races_poll_and_close_from_many_threads(self):
+        # More waking threads than cores, switching often: every
+        # unbounded poll must still return (no lost wakeup), and close()
+        # racing the writers must neither raise in them nor let them
+        # write to a released descriptor.
+        errors = []
+        stop = threading.Event()
+
+        def hammer(pool):
+            try:
+                while not stop.is_set():
+                    pool.wakeup()
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            pool = WorkerPool(2)
+            threads = [
+                threading.Thread(target=hammer, args=(pool,))
+                for _ in range(min(len(os.sched_getaffinity(0)), 8) + 2)
+            ]
+            for thread in threads:
+                thread.start()
+            for _ in range(200):
+                assert pool.poll() == []
+            pool.close()
+            time.sleep(0.05)
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=10.0)
+                assert not thread.is_alive()
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+        assert errors == []
+
+    def test_closed_pools_leak_no_fds(self):
+        def open_fds():
+            return len(os.listdir("/proc/self/fd"))
+
+        before = open_fds()
+        for _ in range(200):
+            pool = WorkerPool(2)
+            pool.wakeup()
+            assert pool.poll(timeout=0) == []
+            pool.close()
+        assert open_fds() == before
 
     def test_statuses_catalogued(self):
         assert set(TASK_STATUSES) == {

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import http.server
 import json
+import statistics
 import threading
 import time
 
@@ -32,6 +33,7 @@ from repro.serve import (
     PartitionService,
     ServeClient,
     ServiceConfig,
+    TERMINAL_STATES,
     TenantPolicy,
     make_server,
     serve_forever_in_thread,
@@ -338,14 +340,17 @@ def service(tmp_path):
     svc.close()
 
 
+def wait_state(service, job_id, states, timeout):
+    def reached():
+        return service.job(job_id)["job"]["state"] in states
+
+    if not service.wait_for(reached, timeout):
+        raise AssertionError(f"job {job_id} not in {states} within {timeout}s")
+    return service.job(job_id)["job"]
+
+
 def wait_terminal(service, job_id, timeout=60.0):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        job = service.job(job_id)["job"]
-        if job["state"] in ("done", "degraded", "failed", "cancelled"):
-            return job
-        time.sleep(0.05)
-    raise AssertionError(f"job {job_id} not terminal within {timeout}s")
+    return wait_state(service, job_id, TERMINAL_STATES, timeout)
 
 
 class TestServiceLifecycle:
@@ -480,6 +485,66 @@ class TestServiceLifecycle:
         assert job["state"] == "done"
         assert job["result"]["status"] == "feasible"
 
+    def test_cancel_running_job_kills_its_worker(
+        self, tmp_path, netlist_file
+    ):
+        svc = PartitionService(
+            ServiceConfig(
+                state_dir=str(tmp_path / "state"),
+                jobs=1,
+                allow_test_hooks=True,
+            )
+        ).start()
+        try:
+            hung = svc.submit(
+                {
+                    "netlist": str(netlist_file),
+                    "config": {"test_sleep_seconds": 60.0},
+                }
+            )["job"]["job_id"]
+            wait_state(svc, hung, {"running"}, timeout=10)
+            assert svc.cancel(hung)["status"] == 200
+            # The one worker slot frees only once the kill's outcome is
+            # handled, so a follow-up job finishing well inside the
+            # hung job's sleep proves the worker died.
+            follow = svc.submit({"netlist": str(netlist_file)}, force=True)
+            job = wait_terminal(svc, follow["job"]["job_id"], timeout=30)
+            assert job["state"] == "done"
+            cancelled = svc.job(hung)["job"]
+            assert cancelled["state"] == "cancelled"
+            assert cancelled["attempts"] == 1
+            assert cancelled["result"] is None
+            assert svc.stats()["tasks_submitted"] == 2
+        finally:
+            svc.close()
+
+    def test_idle_service_admits_without_polling_delay(
+        self, tmp_path, netlist_file
+    ):
+        svc = PartitionService(
+            ServiceConfig(state_dir=str(tmp_path / "state"), jobs=1)
+        ).start()
+        try:
+            for _ in range(10):
+                response = svc.submit(
+                    {"netlist": str(netlist_file)}, force=True
+                )
+                wait_terminal(svc, response["job"]["job_id"])
+        finally:
+            svc.close()
+        waits = [
+            event["wait_ms"]
+            for event in map(
+                json.loads,
+                (tmp_path / "state" / "spans.jsonl").read_text().splitlines(),
+            )
+            if event["event"] == "span_end" and "wait_ms" in event
+        ]
+        assert len(waits) == 10
+        # The median, not the max: one wait stretched by a busy CPU
+        # says nothing about the scheduler's wakeup path.
+        assert statistics.median(waits) < 20.0
+
     def test_unknown_job_404(self, service):
         assert service.job("nope")["status"] == 404
         assert service.cancel("nope")["status"] == 404
@@ -500,11 +565,7 @@ class TestServiceLifecycle:
             }
         )
         job_id = response["job"]["job_id"]
-        deadline = time.monotonic() + 10
-        while time.monotonic() < deadline:
-            if svc.job(job_id)["job"]["state"] == "running":
-                break
-            time.sleep(0.05)
+        wait_state(svc, job_id, {"running"}, timeout=10)
         summary = svc.drain(timeout=0.3)
         assert job_id in summary["requeued"]
         # The next daemon generation picks it up from the journal.

@@ -29,7 +29,7 @@ from repro.obs.export import parse_openmetrics, validate_openmetrics
 from repro.obs.runstore import RunStore
 from repro.obs.spans import build_span_tree
 from repro.obs.trace import read_trace
-from repro.serve import PartitionService, ServiceConfig
+from repro.serve import TERMINAL_STATES, PartitionService, ServiceConfig
 
 from test_serve_recovery import start_daemon, stop_daemon
 
@@ -56,13 +56,12 @@ def service(tmp_path):
 
 
 def wait_terminal(service, job_id, timeout=60.0):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        job = service.job(job_id)["job"]
-        if job["state"] in ("done", "degraded", "failed", "cancelled"):
-            return job
-        time.sleep(0.05)
-    raise AssertionError(f"job {job_id} not terminal within {timeout}s")
+    def terminal():
+        return service.job(job_id)["job"]["state"] in TERMINAL_STATES
+
+    if not service.wait_for(terminal, timeout):
+        raise AssertionError(f"job {job_id} not terminal within {timeout}s")
+    return service.job(job_id)["job"]
 
 
 def sample_value(samples, name):
