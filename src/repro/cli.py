@@ -1052,8 +1052,8 @@ def _cmd_report_trace(args: argparse.Namespace) -> int:
     if getattr(args, "spans", False):
         # Span view: tolerant by design — a trace with no span events
         # (a plain CLI run) renders the degenerate placeholder, and
-        # schema validation is skipped because service-side span logs
-        # are not run traces.
+        # schema validation is skipped because a span log shared by
+        # several daemon generations carries one run id per generation.
         from .obs import render_span_tree
 
         text = render_span_tree(events)

@@ -9,7 +9,12 @@ to the perf-regression harness and the run-guard subsystem:
   cost evaluator;
 * :mod:`repro.obs.trace` — a :class:`TraceWriter` emitting a versioned
   JSONL event stream (``run_start`` … ``run_end``) stamped with the run
-  id and the run-guard budget state, plus schema validation helpers;
+  id, the run-guard budget state and epoch-seconds ``t``, plus schema
+  validation helpers.  It is the only event writer: CLI traces, serve
+  job traces and the daemon's ``spans.jsonl`` all go through it;
+* :mod:`repro.obs.spans` — the span model (trace/span ids, span tree
+  reconstruction and rendering) over ``span_start``/``span_end``
+  events;
 * :mod:`repro.obs.runstore` — an append-only on-disk registry of
   finished runs (``fpart partition --runs-dir``, sweep records), the
   substrate of cross-run analysis;
@@ -65,7 +70,6 @@ from .prof import (
     SamplingProfiler,
     attributed_fraction,
     fold_stacks,
-    merge_folded,
     parse_folded,
     phase_table,
     render_flamegraph,
@@ -73,9 +77,6 @@ from .prof import (
 )
 from .progress import HeartbeatEmitter
 from .spans import (
-    NULL_SPANS,
-    NullSpanLog,
-    SpanLog,
     SpanNode,
     build_span_tree,
     new_span_id,
@@ -142,15 +143,11 @@ __all__ = [
     "PhaseRow",
     "fold_stacks",
     "parse_folded",
-    "merge_folded",
     "render_flamegraph",
     "phase_table",
     "render_phase_table",
     "attributed_fraction",
     "labelled_key",
-    "SpanLog",
-    "NullSpanLog",
-    "NULL_SPANS",
     "SpanNode",
     "build_span_tree",
     "render_span_tree",

@@ -22,10 +22,10 @@ the ecosystem's standard viewers:
   second, and the lexicographic ``d_k``/``T_SUM`` series become counter
   (``"C"``) tracks plotted over run time.  Two optional side channels
   merge onto the same timeline: service *span* events from a
-  ``spans.jsonl`` sibling (the PR-8 span model — job/attempt lifecycle
-  as ``"X"`` slices on their own track) and a sampled *profile* (folded
-  stacks laid out as nested thread slices, each stack weighted by its
-  sample count — a flame chart inside the trace viewer).
+  ``spans.jsonl`` sibling (job/attempt lifecycle as ``"X"`` slices on
+  their own track, on the trace's own clock) and a sampled *profile*
+  (folded stacks laid out as nested thread slices, each stack weighted
+  by its sample count — a flame chart inside the trace viewer).
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from .runstore import atomic_write_text
+from .spans import build_span_tree
 
 __all__ = [
     "to_openmetrics",
@@ -351,13 +352,18 @@ def trace_to_chrome(
     "service spans" track; ``profile`` merges a folded-stack profile
     (string, see :mod:`repro.obs.prof`) as nested slices on a
     "profile (sampled)" track, each stack weighted by ``count /
-    PROF_DEFAULT_HZ`` seconds.  Span timestamps are epoch while trace
-    timestamps are run-relative, so spans are re-anchored to their own
-    earliest event — tracks share the axis but only the trace's own
-    events are exact offsets into the run.
+    PROF_DEFAULT_HZ`` seconds.  Trace and spans share one clock, so
+    both are re-based on one origin — the earliest ``t`` of either —
+    and every slice is an exact offset on the shared axis.
     """
     events = list(events)
     span_events = list(spans) if spans is not None else []
+    origin = min(
+        (float(e["t"]) for e in events + span_events if "t" in e),
+        default=0.0,
+    )
+    events = _rebased(events, origin)
+    span_events = _rebased(span_events, origin)
     trace_events: List[dict] = []
     run_id = ""
     process_name = "fpart"
@@ -472,59 +478,53 @@ def trace_to_chrome(
     }
 
 
+def _rebased(events: List[dict], origin: float) -> List[dict]:
+    """Copies of ``events`` with ``t`` measured from ``origin``."""
+    return [
+        {**e, "t": float(e["t"]) - origin} if "t" in e else e
+        for e in events
+    ]
+
+
 def spans_to_chrome_events(
-    span_events: Iterable[dict],
-    anchor: Optional[float] = None,
-    tid: int = _TID_SPANS,
+    span_events: Iterable[dict], tid: int = _TID_SPANS
 ) -> List[dict]:
     """Service span rows as complete (``"X"``) catapult events.
 
-    ``span_start``/``span_end`` pairs (matched by span id) become one
-    slice each, carrying trace/span/parent ids and the end status in
-    ``args``.  Spans are stamped with epoch seconds; ``anchor``
-    (default: the earliest span timestamp) re-bases them near zero so
-    they land on the same axis as a run-relative trace.  A span with no
-    matching end is emitted with the latest observed timestamp as its
-    end and ``status: "open"`` — crashed attempts stay visible.
+    Starts and ends are paired by :func:`~repro.obs.spans.build_span_tree`;
+    each started span becomes one slice carrying trace/span/parent ids
+    and the end status in ``args``, stamped with its own ``t`` (callers
+    that merge tracks re-base first, as :func:`trace_to_chrome` does).
+    A span with no matching end is emitted with the latest observed
+    timestamp as its end and ``status: "open"`` — crashed attempts stay
+    visible.
     """
-    rows = [e for e in span_events
-            if e.get("event") in ("span_start", "span_end")]
-    if not rows:
-        return []
-    times = [float(e.get("t", 0.0)) for e in rows]
-    base = min(times) if anchor is None else anchor
-    last = max(times)
-    starts: Dict[str, dict] = {}
-    ends: Dict[str, dict] = {}
-    order: List[str] = []
-    for event in rows:
-        span_id = str(event.get("span_id", ""))
-        if event.get("event") == "span_start":
-            if span_id not in starts:
-                starts[span_id] = event
-                order.append(span_id)
-        else:
-            ends.setdefault(span_id, event)
+    nodes = build_span_tree(span_events, unclosed_status="open")
+    for node in nodes:  # breadth-first: the list grows as it is walked
+        nodes.extend(node.children)
+    last = max(
+        (t for n in nodes for t in (n.start_t, n.end_t) if t is not None),
+        default=0.0,
+    )
     out: List[dict] = []
-    for span_id in order:
-        start = starts[span_id]
-        end = ends.get(span_id)
-        t0 = float(start.get("t", base))
-        t1 = float(end.get("t", last)) if end else last
+    for node in nodes:
+        if node.start_t is None:
+            continue  # an end without its start has no interval
+        end_t = node.end_t if node.end_t is not None else last
         out.append(
             {
                 "ph": "X",
-                "name": str(start.get("name", "?")),
+                "name": node.name,
                 "cat": "span",
                 "pid": _PID,
                 "tid": tid,
-                "ts": _us(t0 - base),
-                "dur": max(_us(t1 - base) - _us(t0 - base), 0.0),
+                "ts": _us(node.start_t),
+                "dur": max(_us(end_t) - _us(node.start_t), 0.0),
                 "args": {
-                    "trace_id": start.get("trace_id", ""),
-                    "span_id": span_id,
-                    "parent_id": start.get("parent_id", ""),
-                    "status": (end or {}).get("status", "open"),
+                    "trace_id": node.trace_id,
+                    "span_id": node.span_id,
+                    "parent_id": node.parent_id,
+                    "status": node.status,
                 },
             }
         )

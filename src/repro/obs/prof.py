@@ -46,7 +46,6 @@ __all__ = [
     "SamplingProfiler",
     "fold_stacks",
     "parse_folded",
-    "merge_folded",
     "render_flamegraph",
     "PhaseRow",
     "phase_table",
@@ -221,15 +220,6 @@ def parse_folded(text: str) -> List[Tuple[Tuple[str, ...], int]]:
             )
         out.append((tuple(stack_part.split(";")), count))
     return out
-
-
-def merge_folded(texts: Sequence[str]) -> str:
-    """Merge several folded-stack documents into one (sorted)."""
-    counts: Dict[Tuple[str, ...], int] = {}
-    for text in texts:
-        for stack, n in parse_folded(text):
-            counts[stack] = counts.get(stack, 0) + n
-    return fold_stacks(counts)
 
 
 # -- flamegraph SVG ------------------------------------------------------

@@ -112,7 +112,11 @@ class HeartbeatEmitter:
         if best is not None:
             fields["cost"] = cost_fields(best)
         if self.tracer.enabled:
+            # Flushed per beat so a tail of the trace (the serve job
+            # stream) sees progress live; beats are rate-limited and
+            # off the per-move path.
             self.tracer.emit("progress", **fields)
+            self.tracer.flush()
         if self.stream is not None:
             line = (
                 f"fpart: progress iter={guard.iterations} "
@@ -133,13 +137,15 @@ class HeartbeatEmitter:
     def finish(self, guard, status: str) -> None:
         """Emit the terminal heartbeat exactly once, whatever the path.
 
-        Streaming consumers (the serve daemon's chunked-JSONL job
-        stream) block on the *next* progress event; a run that degrades
-        or fails between ticks would otherwise leave them hanging until
-        their own timeout.  The driver calls this on every exit path —
-        feasible return, graceful degradation, strict raise — and the
-        once-latch makes multiple exit paths safe to wire independently.
-        Rate limiting is bypassed: the terminal beat always lands.
+        The terminal beat records how the run ended (``final: true``
+        and the status) in the trace and on the ``--progress`` line,
+        so a reader of either sees the last best cost even when the
+        run degrades or fails between ticks.  (The serve job stream
+        does not wait for it: it ends when the job turns terminal.)
+        The driver calls this on every exit path — feasible return,
+        graceful degradation, strict raise — and the once-latch makes
+        multiple exit paths safe to wire independently.  Rate limiting
+        is bypassed: the terminal beat always lands.
         """
         if self.finished:
             return

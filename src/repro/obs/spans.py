@@ -14,18 +14,21 @@ of the daemon:
 * its :class:`~repro.obs.runstore.RunStore` record
   (``labels["trace_id"]``).
 
-Span events are ordinary JSONL objects with two layouts that differ
-only in envelope:
+Spans are written by the one event writer,
+:class:`~repro.obs.trace.TraceWriter` (``start_span``/``end_span``),
+with the trace envelope and its epoch-seconds clock:
 
-* **service side** — :class:`SpanLog` appends
-  ``{"event": "span_start"|"span_end", "t": <epoch>, ...}`` lines to
-  ``<state-dir>/spans.jsonl`` (thread-safe; the HTTP handlers and the
-  scheduler write concurrently);
-* **worker side** — the existing :class:`~repro.obs.trace.TraceWriter`
-  emits the same two event types into the run's ``trace.jsonl`` (the
-  span fields ride the normal trace envelope), which is how the trace
-  schema carries the service correlation id across the
-  ``multiprocessing`` boundary.
+* **service side** — the daemon's writer appends to
+  ``<state-dir>/spans.jsonl`` (one ``run_id`` per daemon generation;
+  the HTTP handlers and the scheduler share it);
+* **worker side** — the run's writer puts the ``partition-run`` span
+  into the job's ``trace.jsonl``, which is how the trace schema
+  carries the service correlation id across the ``multiprocessing``
+  boundary.
+
+Both files share one clock, so their concatenation is one span tree
+whose intervals nest: the worker's ``partition-run`` lies inside the
+daemon's ``attempt[n]``.
 
 ID propagation protocol
 -----------------------
@@ -47,21 +50,14 @@ degrade to an explicit "no span events" rendering rather than an error.
 
 from __future__ import annotations
 
-import json
-import threading
-import time
 import uuid
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Optional
 
 __all__ = [
     "SPAN_EVENT_TYPES",
     "new_trace_id",
     "new_span_id",
-    "SpanLog",
-    "NullSpanLog",
-    "NULL_SPANS",
     "SpanNode",
     "build_span_tree",
     "render_span_tree",
@@ -79,104 +75,6 @@ def new_trace_id() -> str:
 def new_span_id() -> str:
     """A fresh 8-hex-digit span id (unique within one trace)."""
     return uuid.uuid4().hex[:8]
-
-
-class SpanLog:
-    """Append-only JSONL span sink for the service process.
-
-    One log per daemon generation, shared by every thread that opens or
-    closes spans (HTTP handlers, the scheduler, recovery); appends are
-    serialised by an internal lock.  Lines are flushed but *not*
-    fsync'd — spans are observability, not the durability story (the
-    write-ahead journal is), so a crash may lose the trailing span
-    line, never a job.
-    """
-
-    enabled = True
-
-    def __init__(self, path: Union[str, Path]) -> None:
-        self.path = Path(path)
-        self._stream = None
-        self._lock = threading.Lock()
-
-    def _emit(self, payload: Dict) -> None:
-        with self._lock:
-            if self._stream is None:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                self._stream = open(self.path, "a", encoding="utf-8")
-            self._stream.write(json.dumps(payload, sort_keys=True) + "\n")
-            self._stream.flush()
-
-    def start(
-        self,
-        name: str,
-        trace_id: str,
-        parent_id: str = "",
-        span_id: Optional[str] = None,
-        **attrs,
-    ) -> str:
-        """Open a span; returns its id (caller keeps it for :meth:`end`)."""
-        span_id = span_id or new_span_id()
-        payload = {
-            "event": "span_start",
-            "t": time.time(),
-            "trace_id": trace_id,
-            "span_id": span_id,
-            "parent_id": parent_id,
-            "name": name,
-        }
-        payload.update(attrs)
-        self._emit(payload)
-        return span_id
-
-    def end(self, span_id: str, trace_id: str, status: str, **attrs) -> None:
-        """Close a span with a terminal status (``ok``/``crashed``/...)."""
-        payload = {
-            "event": "span_end",
-            "t": time.time(),
-            "trace_id": trace_id,
-            "span_id": span_id,
-            "status": status,
-        }
-        payload.update(attrs)
-        self._emit(payload)
-
-    def close(self) -> None:
-        with self._lock:
-            if self._stream is not None:
-                self._stream.close()
-                self._stream = None
-
-
-class NullSpanLog(SpanLog):
-    """The do-nothing span log behind :data:`NULL_SPANS`."""
-
-    enabled = False
-
-    def __init__(self) -> None:
-        self.path = Path("/dev/null")
-        self._stream = None
-        self._lock = threading.Lock()
-
-    def start(
-        self,
-        name: str,
-        trace_id: str,
-        parent_id: str = "",
-        span_id: Optional[str] = None,
-        **attrs,
-    ) -> str:
-        return span_id or ""
-
-    def end(self, span_id: str, trace_id: str, status: str, **attrs) -> None:
-        pass
-
-    def close(self) -> None:
-        pass
-
-
-#: Shared no-op span log used when service observability is disabled.
-NULL_SPANS = NullSpanLog()
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,28 @@
-"""Pass-level JSONL trace stream of a partitioning run.
+"""The one JSONL event stream: run traces, worker traces, service spans.
 
 A :class:`TraceWriter` appends one JSON object per line to a file (or
-any text stream).  Every event carries:
+any text stream).  It writes every event stream in the repo: a CLI
+run's ``--trace`` file, a serve job's ``trace.jsonl`` and the daemon's
+``spans.jsonl``.  Every event carries:
 
 * ``schema`` — the stream format version (:data:`TRACE_SCHEMA`),
 * ``seq`` — a strictly increasing sequence number,
-* ``t`` — seconds since the writer was opened (monotonic clock),
+* ``t`` — wall-clock epoch seconds (``time.time()``), one clock for
+  every stream and process, so events of different files line up,
 * ``event`` — one of :data:`EVENT_TYPES`,
 * ``run_id`` — the run correlation id shared with log lines,
-  checkpoints and :attr:`FpartResult.run_id`,
+  checkpoints and :attr:`FpartResult.run_id` (for the daemon's span
+  log: one id per daemon generation),
 
-plus event-specific fields (see :data:`REQUIRED_FIELDS`).  Events whose
-payload includes a solution cost use the :func:`cost_fields` layout —
-the paper's lexicographic tuple ``(f, d_k, T_SUM, d_k^E)`` spelled out,
+plus event-specific fields (see :data:`REQUIRED_FIELDS`).  Readers only
+ever subtract ``t`` values, so traces written when ``t`` counted from
+the writer's opening still read correctly.  Events whose payload
+includes a solution cost use the :func:`cost_fields` layout — the
+paper's lexicographic tuple ``(f, d_k, T_SUM, d_k^E)`` spelled out,
 which is what ``fpart report --trace`` turns into the convergence
-table.
+table.  :meth:`TraceWriter.start_span` / :meth:`TraceWriter.end_span`
+write the ``span_start``/``span_end`` pair of the span model in
+:mod:`repro.obs.spans`.
 
 Sampling
 --------
@@ -37,9 +45,12 @@ from __future__ import annotations
 
 import io
 import json
+import threading
 import time
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
+
+from .spans import new_span_id
 
 __all__ = [
     "TRACE_SCHEMA",
@@ -105,7 +116,7 @@ def cost_fields(cost) -> Dict[str, Union[int, float]]:
 
 
 class TraceWriter:
-    """Versioned JSONL event sink for one run.
+    """Versioned JSONL event sink of one run or one daemon generation.
 
     Parameters
     ----------
@@ -117,10 +128,13 @@ class TraceWriter:
     sample_moves:
         Applied moves between ``move_batch`` events (engines consult
         this; 0 disables move batches entirely).
+
+    :meth:`emit` is serialised by a lock: the daemon's HTTP handler
+    threads and its scheduler share one writer.
     """
 
     __slots__ = ("run_id", "sample_moves", "_stream", "_owns_stream",
-                 "_seq", "_t0", "_clock")
+                 "_seq", "_clock", "_lock")
 
     #: False only on :class:`NullTraceWriter`; checked once per pass.
     enabled = True
@@ -130,7 +144,7 @@ class TraceWriter:
         sink: Union[str, Path, io.TextIOBase],
         run_id: str,
         sample_moves: int = 64,
-        _clock=time.monotonic,
+        _clock=time.time,
     ) -> None:
         if sample_moves < 0:
             raise ValueError("sample_moves must be non-negative")
@@ -144,24 +158,51 @@ class TraceWriter:
             self._owns_stream = False
         self._seq = 0
         self._clock = _clock
-        self._t0 = _clock()
+        self._lock = threading.Lock()
 
     def emit(self, event: str, **fields) -> int:
         """Write one event line; returns its sequence number."""
-        payload = {
-            "schema": TRACE_SCHEMA,
-            "seq": self._seq,
-            "t": round(self._clock() - self._t0, 6),
-            "event": event,
-            "run_id": self.run_id,
-        }
-        payload.update(fields)
-        self._stream.write(json.dumps(payload, sort_keys=True) + "\n")
-        self._seq += 1
+        with self._lock:
+            payload = {
+                "schema": TRACE_SCHEMA,
+                "seq": self._seq,
+                "t": round(self._clock(), 6),
+                "event": event,
+                "run_id": self.run_id,
+            }
+            payload.update(fields)
+            self._stream.write(json.dumps(payload, sort_keys=True) + "\n")
+            self._seq += 1
         return payload["seq"]
 
+    def start_span(
+        self,
+        name: str,
+        trace_id: str,
+        parent_id: str = "",
+        span_id: Optional[str] = None,
+        **attrs,
+    ) -> str:
+        """Open a span; returns its id (the caller keeps it for
+        :meth:`end_span`)."""
+        span_id = span_id or new_span_id()
+        self.emit(
+            "span_start", trace_id=trace_id, span_id=span_id,
+            parent_id=parent_id, name=name, **attrs,
+        )
+        return span_id
+
+    def end_span(
+        self, span_id: str, trace_id: str, status: str, **attrs
+    ) -> None:
+        """Close a span with a terminal status (``ok``/``crashed``/...)."""
+        self.emit(
+            "span_end", trace_id=trace_id, span_id=span_id, status=status,
+            **attrs,
+        )
+
     def flush(self) -> None:
-        """Push buffered events to the sink (run-end safety flush)."""
+        """Push buffered events to the sink (progress beats, run end)."""
         self._stream.flush()
 
     def close(self) -> None:
@@ -190,11 +231,19 @@ class NullTraceWriter(TraceWriter):
         self._stream = None
         self._owns_stream = False
         self._seq = 0
-        self._clock = time.monotonic
-        self._t0 = 0.0
 
     def emit(self, event: str, **fields) -> int:
         return 0
+
+    def start_span(
+        self,
+        name: str,
+        trace_id: str,
+        parent_id: str = "",
+        span_id: Optional[str] = None,
+        **attrs,
+    ) -> str:
+        return span_id or ""
 
     def flush(self) -> None:
         pass
@@ -213,8 +262,9 @@ NULL_TRACE = NullTraceWriter()
 
 
 def read_trace(path: Union[str, Path]) -> List[dict]:
-    """Parse a JSONL trace file (or a serve ``spans.jsonl``, which uses
-    the same envelope) into a list of event dicts.
+    """Parse a JSONL trace file (a CLI ``--trace`` file, a job's
+    ``trace.jsonl`` or the daemon's ``spans.jsonl``: one envelope, one
+    clock) into a list of event dicts.
 
     Raises ``ValueError`` with the offending line number on corrupt
     JSON; schema problems are reported by :func:`validate_trace`.

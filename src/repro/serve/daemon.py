@@ -55,7 +55,9 @@ from ..core.checkpoint import CheckpointManager, config_digest
 from ..core.exceptions import CheckpointError
 from ..obs.export import to_openmetrics
 from ..obs.metrics import MetricsRegistry, NULL_METRICS
-from ..obs.spans import NULL_SPANS, SpanLog, new_trace_id
+from ..logging import new_run_id
+from ..obs.spans import new_trace_id
+from ..obs.trace import NULL_TRACE, TraceWriter
 from ..parallel.backoff import BackoffPolicy
 from ..parallel.pool import ParallelTask, TaskOutcome, WorkerPool
 from .jobs import Job, JobError, JobSpec, JobTable, TERMINAL_STATES
@@ -131,7 +133,7 @@ class ServiceConfig:
     """Service-level observability: span log + live metrics registry.
 
     Off swaps in :data:`~repro.obs.metrics.NULL_METRICS` and
-    :data:`~repro.obs.spans.NULL_SPANS` (``/metrics`` then serves an
+    :data:`~repro.obs.trace.NULL_TRACE` (``/metrics`` then serves an
     empty-but-valid document) — the knob the ``serve_obs_overhead``
     bench compares against."""
     prof_slow_ms: Optional[float] = None
@@ -182,12 +184,20 @@ class PartitionService:
             "recovered": 0,
             "completed": 0,
         }
+        self._span_stream = None
+        self.spans: TraceWriter = NULL_TRACE
+        self.metrics: MetricsRegistry = NULL_METRICS
         if config.obs_enabled:
-            self.metrics: MetricsRegistry = MetricsRegistry()
-            self.spans: SpanLog = SpanLog(self.state_dir / "spans.jsonl")
-        else:
-            self.metrics = NULL_METRICS
-            self.spans = NULL_SPANS
+            self.metrics = MetricsRegistry()
+            # Appended and line-buffered: daemon generations share one
+            # file, each under its own run id, and every span line is
+            # on disk once written.  Spans are diagnostics, not state,
+            # so nothing is fsync'd.
+            self._span_stream = open(
+                self.state_dir / "spans.jsonl", "a",
+                buffering=1, encoding="utf-8",
+            )
+            self.spans = TraceWriter(self._span_stream, new_run_id())
         self._pool = WorkerPool(  # spawns nothing until the first submit
             config.jobs,
             timeout_seconds=config.job_timeout_seconds,
@@ -281,12 +291,12 @@ class PartitionService:
         for job in self._table.by_state("admitted", "running"):
             attempt_span = job.open_spans.pop("attempt", "")
             if attempt_span:
-                self.spans.end(
+                self.spans.end_span(
                     attempt_span, job.trace_id, span_status,
                     job_id=job.job_id, **span_attrs,
                 )
             if job.trace_id and "job" in job.open_spans:
-                job.open_spans["queued"] = self.spans.start(
+                job.open_spans["queued"] = self.spans.start_span(
                     "queued",
                     job.trace_id,
                     job.open_spans["job"],
@@ -317,8 +327,9 @@ class PartitionService:
     def close(self) -> None:
         """Immediate shutdown (no grace); prefer :meth:`drain`."""
         self._stop_scheduler(join_seconds=10.0)
-        self._journal.close()
-        self.spans.close()
+        with self._lock:
+            self._journal.close()
+            self._close_spans_locked()
 
     def _stop_scheduler(self, join_seconds: float) -> None:
         """Stop the scheduler thread, which closes the pool on exit."""
@@ -356,9 +367,16 @@ class PartitionService:
             )
             self._compact_locked()
             self._journal.close()
-            self.spans.close()
+            self._close_spans_locked()
         counts = self.counts()
         return {"requeued": requeued, "counts": counts}
+
+    def _close_spans_locked(self) -> None:
+        """Close the span log; a span opened after this is dropped."""
+        self.spans = NULL_TRACE
+        if self._span_stream is not None:
+            self._span_stream.close()
+            self._span_stream = None
 
     def _compact_locked(self) -> None:
         self._journal.compact(
@@ -419,7 +437,7 @@ class PartitionService:
                         ),
                         "job": twin.to_dict(),
                     }
-            admission_span = self.spans.start(
+            admission_span = self.spans.start_span(
                 "admission", trace_id, "", tenant=spec.tenant
             )
             decision = self._admission.decide(
@@ -434,7 +452,7 @@ class PartitionService:
                     "serve.rejected",
                     labels={"code": str(decision.http_status)},
                 ).inc()
-                self.spans.end(
+                self.spans.end_span(
                     admission_span, trace_id, "rejected",
                     code=decision.http_status, reason=decision.reason,
                 )
@@ -455,18 +473,18 @@ class PartitionService:
                 max_attempts=self.config.max_attempts,
                 trace_id=trace_id,
             )
-            self.spans.end(
+            self.spans.end_span(
                 admission_span, trace_id, "accepted", job_id=job.job_id
             )
             # The job's root span plus its first queued wait; their ids
             # ride ``open_spans`` into the journalled job dict so any
             # daemon generation can close them.
-            root = self.spans.start(
+            root = self.spans.start_span(
                 "job", trace_id, "",
                 job_id=job.job_id, tenant=spec.tenant, digest=digest,
             )
             job.open_spans["job"] = root
-            job.open_spans["queued"] = self.spans.start(
+            job.open_spans["queued"] = self.spans.start_span(
                 "queued", trace_id, root, job_id=job.job_id
             )
             # Write-ahead: journal first, then mutate the table.
@@ -495,12 +513,12 @@ class PartitionService:
         for role in ("queued", "attempt"):
             span_id = job.open_spans.pop(role, "")
             if span_id:
-                self.spans.end(
+                self.spans.end_span(
                     span_id, job.trace_id, status, job_id=job.job_id
                 )
         root = job.open_spans.pop("job", "")
         if root:
-            self.spans.end(
+            self.spans.end_span(
                 root, job.trace_id, status, job_id=job.job_id
             )
             self._observe_ms(
@@ -751,14 +769,14 @@ class PartitionService:
             queued_span = job.open_spans.pop("queued", "")
             if queued_span:
                 wait = max(now - job.updated, 0.0)
-                self.spans.end(
+                self.spans.end_span(
                     queued_span, job.trace_id, "admitted",
                     job_id=job.job_id, wait_ms=round(wait * 1000, 1),
                 )
                 self._observe_ms("serve.queue_wait_ms", wait)
             attempt_span = ""
             if job.trace_id:
-                attempt_span = self.spans.start(
+                attempt_span = self.spans.start_span(
                     f"attempt[{attempt}]",
                     job.trace_id,
                     job.open_spans.get("job", ""),
@@ -821,7 +839,7 @@ class PartitionService:
         # the daemon does (status ``crashed``/``timeout``).
         attempt_span = job.open_spans.pop("attempt", "")
         if attempt_span:
-            self.spans.end(
+            self.spans.end_span(
                 attempt_span, job.trace_id, outcome.status,
                 job_id=job_id,
                 wall_ms=round(outcome.wall_seconds * 1000, 1),
@@ -860,7 +878,7 @@ class PartitionService:
             )
             next_at = time.time() + delay
             if job.trace_id and "job" in job.open_spans:
-                job.open_spans["queued"] = self.spans.start(
+                job.open_spans["queued"] = self.spans.start_span(
                     "queued",
                     job.trace_id,
                     job.open_spans["job"],

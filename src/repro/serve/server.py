@@ -36,11 +36,12 @@ joins access log ↔ journal ↔ run trace ↔ run store (DESIGN.md §11).
 Streaming uses real HTTP/1.1 chunked transfer encoding, hand-framed
 (hex length, CRLF, payload, CRLF): the handler tails the job's
 ``trace.jsonl`` — the same file the in-worker
-:class:`~repro.obs.progress.HeartbeatEmitter` appends to — forwarding
-each complete line as one chunk, and finishes with a synthetic
-``job_end`` line once the job reaches a terminal state.  The terminal
-heartbeat guarantee (``HeartbeatEmitter.finish``) is what lets the
-stream end promptly on degraded/failed runs instead of timing out.
+:class:`~repro.obs.progress.HeartbeatEmitter` appends to and flushes
+per beat — forwarding each complete line as one chunk.  Between tails
+it waits on :meth:`PartitionService.wait_for` for the job to turn
+terminal, so the stream ends with a synthetic ``job_end`` line as soon
+as the job is done, degraded, failed or cancelled, whatever the worker
+wrote last.
 """
 
 from __future__ import annotations

@@ -139,17 +139,9 @@ def run_partition_job(
     heartbeat = HeartbeatEmitter(tracer=tracer, interval_seconds=0.5)
     run_span = ""
     if trace_id:
-        from ..obs.spans import new_span_id
-
-        run_span = new_span_id()
-        tracer.emit(
-            "span_start",
-            span_id=run_span,
-            name="partition-run",
-            trace_id=trace_id,
-            parent_id=parent_span_id,
-            job_id=job_id,
-            attempt=attempt,
+        run_span = tracer.start_span(
+            "partition-run", trace_id, parent_span_id,
+            job_id=job_id, attempt=attempt,
         )
     sampler = None
     if prof_slow_ms is not None:
@@ -169,12 +161,7 @@ def run_partition_job(
             heartbeat=heartbeat,
         ).run()
         if run_span:
-            tracer.emit(
-                "span_end",
-                span_id=run_span,
-                status=result.status,
-                trace_id=trace_id,
-            )
+            tracer.end_span(run_span, trace_id, result.status)
     finally:
         tracer.close()
         if sampler is not None:

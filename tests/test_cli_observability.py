@@ -165,15 +165,14 @@ class TestReportSpans:
         assert "(no span events)" in capsys.readouterr().out
 
     def test_renders_service_span_log(self, tmp_path, capsys):
-        from repro.obs import SpanLog, new_trace_id
+        from repro.obs import TraceWriter, new_trace_id
 
-        log = SpanLog(tmp_path / "spans.jsonl")
-        tid = new_trace_id()
-        root = log.start("job", tid, job_id="j1")
-        child = log.start("attempt[1]", tid, parent_id=root)
-        log.end(child, tid, "ok")
-        log.end(root, tid, "done")
-        log.close()
+        with TraceWriter(tmp_path / "spans.jsonl", "gen1") as log:
+            tid = new_trace_id()
+            root = log.start_span("job", tid, job_id="j1")
+            child = log.start_span("attempt[1]", tid, parent_id=root)
+            log.end_span(child, tid, "ok")
+            log.end_span(root, tid, "done")
         assert main(
             ["report", "--trace", str(tmp_path / "spans.jsonl"), "--spans"]
         ) == 0
@@ -188,12 +187,11 @@ class TestReportSpans:
         assert tid in capsys.readouterr().out
 
     def test_spans_to_output_file(self, tmp_path, capsys):
-        from repro.obs import SpanLog, new_trace_id
+        from repro.obs import TraceWriter, new_trace_id
 
-        log = SpanLog(tmp_path / "spans.jsonl")
-        tid = new_trace_id()
-        log.end(log.start("job", tid), tid, "done")
-        log.close()
+        with TraceWriter(tmp_path / "spans.jsonl", "gen1") as log:
+            tid = new_trace_id()
+            log.end_span(log.start_span("job", tid), tid, "done")
         target = tmp_path / "spans.txt"
         assert main(
             ["report", "--trace", str(tmp_path / "spans.jsonl"),
@@ -505,3 +503,4 @@ class TestTopDashboard:
         finally:
             svc.close()
             server.shutdown()
+            server.server_close()

@@ -248,9 +248,9 @@ class TestChromeTraceMergedChannels:
         assert len(x) == 2
         assert {e["tid"] for e in x} == {_TID_SPANS}
         by_name = {e["name"]: e for e in x}
-        # Re-anchored to the earliest span timestamp (epoch vs run-
-        # relative time; approximate alignment, documented).
-        assert by_name["attempt"]["ts"] == 0
+        # Stamped on the spans' own clock; merging callers re-base.
+        assert by_name["attempt"]["ts"] == pytest.approx(100.0e6)
+        assert by_name["partition-run"]["ts"] == pytest.approx(100.2e6)
         assert by_name["attempt"]["dur"] == pytest.approx(1.5e6)
         assert by_name["partition-run"]["args"]["parent_id"] == "s1"
         assert by_name["attempt"]["args"]["trace_id"] == "t-abc"
@@ -304,6 +304,30 @@ class TestChromeTraceMergedChannels:
         }
         assert "service spans" in names
         assert "profile (sampled)" in names
+
+    def test_trace_and_spans_share_one_origin(self):
+        from repro.obs.export import _TID_PASSES, _TID_SPANS
+
+        trace = [
+            {"event": "run_start", "t": 100.25, "run_id": "r"},
+            {"event": "pass_start", "t": 100.3, "pass_index": 0},
+            {"event": "run_end", "t": 100.9},
+        ]
+        obj = trace_to_chrome(trace, spans=SPAN_EVENTS)
+        x = [e for e in obj["traceEvents"] if e["ph"] == "X"]
+        (attempt,) = [e for e in x if e["name"] == "attempt"]
+        (run,) = [e for e in x if e["name"] == "partition-run"]
+        (first_pass,) = [e for e in x if e["tid"] == _TID_PASSES]
+        # The earliest t of either stream (the attempt's start) is 0;
+        # everything else is its exact offset from it.
+        assert attempt["tid"] == _TID_SPANS
+        assert attempt["ts"] == 0
+        assert run["ts"] == pytest.approx(0.2e6)
+        assert first_pass["ts"] == pytest.approx(0.3e6)
+        assert first_pass["dur"] == pytest.approx(0.6e6)
+        assert run["ts"] <= first_pass["ts"]
+        assert (first_pass["ts"] + first_pass["dur"]
+                <= run["ts"] + run["dur"])
 
     def test_no_extra_tracks_without_channels(self, traced_run):
         obj = trace_to_chrome(traced_run)

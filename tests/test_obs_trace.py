@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import io
 import json
+import threading
+import time
 
 import pytest
 
@@ -78,6 +80,31 @@ class TestTraceWriter:
         assert NULL_TRACE.emit("run_start") == 0
         NULL_TRACE.close()
         assert NULL_TRACE.sample_moves == 0
+
+    def test_t_is_epoch_seconds(self):
+        before = time.time()
+        sink = io.StringIO()
+        TraceWriter(sink, "r").emit("run_start")
+        after = time.time()
+        (event,) = map(json.loads, sink.getvalue().splitlines())
+        assert before - 1e-6 <= event["t"] <= after + 1e-6
+
+    def test_concurrent_emits_stay_whole_and_ordered(self):
+        sink = io.StringIO()
+        writer = TraceWriter(sink, "r")
+
+        def spans():
+            for _ in range(200):
+                writer.end_span(writer.start_span("s", "t"), "t", "ok")
+
+        threads = [threading.Thread(target=spans) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        events = [json.loads(line) for line in sink.getvalue().splitlines()]
+        assert [e["seq"] for e in events] == list(range(1600))
+        assert validate_trace(events) == []
 
     def test_cost_fields_layout(self):
         fields = cost_fields(FakeCost())

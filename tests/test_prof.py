@@ -11,7 +11,6 @@ from repro.obs.prof import (
     SamplingProfiler,
     attributed_fraction,
     fold_stacks,
-    merge_folded,
     parse_folded,
     phase_table,
     render_flamegraph,
@@ -108,12 +107,6 @@ class TestFoldedStacks:
             parse_folded("no-count-line\n")
         with pytest.raises(ValueError):
             parse_folded("a;b notanumber\n")
-
-    def test_merge_folded_sums_counts(self):
-        one = fold_stacks({("a", "b"): 2, ("c",): 1})
-        two = fold_stacks({("a", "b"): 3, ("d",): 4})
-        merged = dict(parse_folded(merge_folded([one, two])))
-        assert merged == {("a", "b"): 5, ("c",): 1, ("d",): 4}
 
     def test_empty_fold_is_empty_string(self):
         assert fold_stacks({}) == ""

@@ -85,6 +85,23 @@ class TestHeartbeatEmitter:
         assert event["elapsed_seconds"] >= 0
         assert "cost" not in event  # no best recorded yet
 
+    def test_beat_reaches_disk_before_close(self, tmp_path):
+        # A live tail (the serve job stream) reads the trace file from
+        # another handle while the run is still going.
+        path = tmp_path / "trace.jsonl"
+        tracer = TraceWriter(path, run_id="cafe0002")
+        try:
+            HeartbeatEmitter(tracer=tracer, interval_seconds=0.0).emit(
+                make_guard()
+            )
+            with open(path, encoding="utf-8") as tail:
+                lines = tail.read().splitlines()
+            assert [json.loads(line)["event"] for line in lines] == [
+                "progress"
+            ]
+        finally:
+            tracer.close()
+
     def test_stderr_line_with_best_cost(self):
         hg = generate_circuit("hb", num_cells=60, num_ios=10, seed=3)
         config = FpartConfig()

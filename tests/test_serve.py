@@ -63,6 +63,7 @@ class TestJournal:
         reopened = Journal(tmp_path / "j.jsonl")
         reopened.replay()
         record = reopened.append("c")
+        reopened.close()
         assert record["seq"] == 3
 
     def test_torn_trailing_line_is_dropped(self, tmp_path):
@@ -591,6 +592,7 @@ def endpoint(service):
     client = ServeClient("127.0.0.1", server.server_address[1])
     yield service, client
     server.shutdown()
+    server.server_close()
 
 
 class TestHTTP:
@@ -647,6 +649,7 @@ class TestHTTP:
             assert client.healthz()["ok"] is True
         finally:
             server.shutdown()
+            server.server_close()
             service.close()
 
     def test_tenant_quota_429_leaves_other_tenants_alone(

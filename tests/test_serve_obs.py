@@ -28,7 +28,7 @@ from repro.hypergraph.io import write_hgr
 from repro.obs.export import parse_openmetrics, validate_openmetrics
 from repro.obs.runstore import RunStore
 from repro.obs.spans import build_span_tree
-from repro.obs.trace import read_trace
+from repro.obs.trace import read_trace, validate_trace
 from repro.serve import TERMINAL_STATES, PartitionService, ServiceConfig
 
 from test_serve_recovery import start_daemon, stop_daemon
@@ -129,6 +129,48 @@ class TestInProcessObservability:
             if r.labels.get("trace_id") == trace_id
         ]
         assert record.labels["job"] == job_id
+
+    def test_service_and_worker_spans_share_one_clock(
+        self, service, netlist_file, tmp_path
+    ):
+        from repro.obs.export import _TID_PASSES, _TID_SPANS, trace_to_chrome
+
+        # XC3020 needs several devices, so the run has passes.
+        response = service.submit(
+            {"netlist": str(netlist_file), "device": "XC3020"}
+        )
+        job_id = response["job"]["job_id"]
+        assert wait_terminal(service, job_id)["state"] == "done"
+        spans = read_trace(tmp_path / "state" / "spans.jsonl")
+        trace = read_trace(
+            tmp_path / "state" / "jobs" / job_id / "trace.jsonl"
+        )
+
+        # One span tree across both files, nested in time as in id.
+        (root,) = [
+            n for n in build_span_tree(spans + trace) if n.name == "job"
+        ]
+        (attempt,) = [c for c in root.children if c.name == "attempt[1]"]
+        (run,) = attempt.children
+        assert run.name == "partition-run"
+        assert attempt.start_t <= run.start_t <= run.end_t <= attempt.end_t
+
+        # The Chrome export puts the run's passes inside the attempt.
+        slices = [
+            e for e in trace_to_chrome(trace, spans=spans)["traceEvents"]
+            if e["ph"] == "X"
+        ]
+        (chrome_attempt,) = [
+            e for e in slices
+            if e["tid"] == _TID_SPANS and e["name"] == "attempt[1]"
+        ]
+        first_pass = min(
+            (e for e in slices if e["tid"] == _TID_PASSES),
+            key=lambda e: e["ts"],
+        )
+        assert chrome_attempt["ts"] <= first_pass["ts"]
+        assert (first_pass["ts"] + first_pass["dur"]
+                <= chrome_attempt["ts"] + chrome_attempt["dur"])
 
     def test_metrics_document_is_valid_and_populated(
         self, service, netlist_file
@@ -244,6 +286,7 @@ class TestInProcessObservability:
                 assert payload["folded"] == profile["folded"]
             finally:
                 server.shutdown()
+                server.server_close()
         finally:
             svc.close()
 
@@ -293,6 +336,23 @@ class TestInProcessObservability:
             assert parse_openmetrics(text) == []
         finally:
             svc.close()
+
+
+    def test_submit_after_drain_is_refused_not_crashed(
+        self, tmp_path, netlist_file
+    ):
+        # The CLI daemon drains before it stops its HTTP server, so a
+        # request can still arrive after the span log is closed.
+        svc = PartitionService(
+            ServiceConfig(state_dir=str(tmp_path / "state"), jobs=1)
+        ).start()
+        svc.drain()
+        response = svc.submit({"netlist": str(netlist_file)})
+        assert response["status"] == 503
+        svc.close()
+        assert validate_trace(
+            read_trace(tmp_path / "state" / "spans.jsonl")
+        ) == []
 
 
 # ---------------------------------------------------------------------------

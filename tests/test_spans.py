@@ -1,4 +1,7 @@
-"""Unit tests for the span/correlation-id layer (``repro.obs.spans``)."""
+"""Unit tests for the span/correlation-id layer (``repro.obs.spans``).
+
+Span logs are written by :class:`~repro.obs.trace.TraceWriter`'s
+``start_span``/``end_span``, the one event writer."""
 
 from __future__ import annotations
 
@@ -7,14 +10,12 @@ import json
 import pytest
 
 from repro.obs.spans import (
-    NULL_SPANS,
-    SpanLog,
     build_span_tree,
     new_span_id,
     new_trace_id,
     render_span_tree,
 )
-from repro.obs.trace import read_trace
+from repro.obs.trace import NULL_TRACE, TraceWriter, read_trace, validate_trace
 
 
 class TestIds:
@@ -34,13 +35,12 @@ class TestIds:
 
 class TestSpanLog:
     def test_start_end_roundtrip(self, tmp_path):
-        log = SpanLog(tmp_path / "spans.jsonl")
-        tid = new_trace_id()
-        root = log.start("job", tid, job_id="j1")
-        child = log.start("queued", tid, parent_id=root)
-        log.end(child, tid, "admitted", wait_ms=3)
-        log.end(root, tid, "done")
-        log.close()
+        with TraceWriter(tmp_path / "spans.jsonl", "gen1") as log:
+            tid = new_trace_id()
+            root = log.start_span("job", tid, job_id="j1")
+            child = log.start_span("queued", tid, parent_id=root)
+            log.end_span(child, tid, "admitted", wait_ms=3)
+            log.end_span(root, tid, "done")
         events = read_trace(tmp_path / "spans.jsonl")
         assert [e["event"] for e in events] == [
             "span_start",
@@ -50,32 +50,44 @@ class TestSpanLog:
         ]
         assert all(e["trace_id"] == tid for e in events)
         assert events[1]["parent_id"] == root
+        # The span log carries the trace envelope: one run id, rising
+        # seq, epoch t — so it validates like any trace.
+        assert validate_trace(events) == []
+        assert events[0]["t"] > 1e9
+
+    def test_explicit_span_id_is_kept(self, tmp_path):
+        with TraceWriter(tmp_path / "spans.jsonl", "gen1") as log:
+            assert log.start_span("job", "t" * 16, span_id="abcd0123") \
+                == "abcd0123"
+        (event,) = read_trace(tmp_path / "spans.jsonl")
+        assert event["span_id"] == "abcd0123"
 
     def test_every_line_is_one_json_object(self, tmp_path):
-        log = SpanLog(tmp_path / "spans.jsonl")
-        tid = new_trace_id()
-        log.end(log.start("a", tid), tid, "ok")
-        log.close()
+        with TraceWriter(tmp_path / "spans.jsonl", "gen1") as log:
+            tid = new_trace_id()
+            log.end_span(log.start_span("a", tid), tid, "ok")
         for line in (tmp_path / "spans.jsonl").read_text().splitlines():
             assert isinstance(json.loads(line), dict)
 
     def test_null_span_log_writes_nothing(self, tmp_path):
-        sid = NULL_SPANS.start("job", "t" * 16)
-        NULL_SPANS.end(sid, "t" * 16, "done")
-        NULL_SPANS.close()
+        sid = NULL_TRACE.start_span("job", "t" * 16)
+        assert sid == ""
+        assert NULL_TRACE.start_span("job", "t" * 16, span_id="s1") == "s1"
+        NULL_TRACE.end_span(sid, "t" * 16, "done")
+        NULL_TRACE.close()
         assert list(tmp_path.iterdir()) == []
 
 
 class TestBuildSpanTree:
     def test_parenting_and_order(self, tmp_path):
-        log = SpanLog(tmp_path / "s.jsonl")
-        tid = new_trace_id()
-        root = log.start("job", tid)
-        a = log.start("queued", tid, parent_id=root)
-        log.end(a, tid, "admitted")
-        b = log.start("attempt[1]", tid, parent_id=root)
-        log.end(b, tid, "ok")
-        log.end(root, tid, "done")
+        with TraceWriter(tmp_path / "s.jsonl", "gen1") as log:
+            tid = new_trace_id()
+            root = log.start_span("job", tid)
+            a = log.start_span("queued", tid, parent_id=root)
+            log.end_span(a, tid, "admitted")
+            b = log.start_span("attempt[1]", tid, parent_id=root)
+            log.end_span(b, tid, "ok")
+            log.end_span(root, tid, "done")
         roots = build_span_tree(read_trace(tmp_path / "s.jsonl"))
         assert len(roots) == 1
         assert roots[0].name == "job"
@@ -139,10 +151,10 @@ class TestRenderSpanTree:
         )
 
     def test_render_includes_names_and_status(self, tmp_path):
-        log = SpanLog(tmp_path / "s.jsonl")
-        tid = new_trace_id()
-        root = log.start("job", tid, job_id="j1")
-        log.end(root, tid, "done")
+        with TraceWriter(tmp_path / "s.jsonl", "gen1") as log:
+            tid = new_trace_id()
+            root = log.start_span("job", tid, job_id="j1")
+            log.end_span(root, tid, "done")
         text = render_span_tree(read_trace(tmp_path / "s.jsonl"))
         assert tid in text
         assert "job" in text
