@@ -7,7 +7,7 @@ time grows with the iteration count (smaller devices, bigger circuits
 are slower for the same circuit/device family).
 """
 
-from repro.analysis import ExperimentRecord, render_cpu_table, run_method
+from repro.analysis import render_cpu_table, run_method
 
 from helpers import fpart_circuits, run_once, save
 
@@ -30,7 +30,7 @@ def bench_table6_cpu_time(benchmark):
 
     def seconds(circuit, device):
         record = by_cell.get((circuit, device))
-        return record.runtime_seconds if record else None
+        return record.wall_seconds if record else None
 
     # Shape 1: for each circuit, the small XC3020 run (many more
     # iterations) costs at least as much as the roomy XC3090 run.

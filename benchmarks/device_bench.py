@@ -5,20 +5,20 @@ from __future__ import annotations
 from typing import List
 
 from repro.analysis import (
-    ExperimentRecord,
     published_table_for_device,
     render_device_comparison,
     run_method,
 )
+from repro.obs import RunRecord
 
 from helpers import baseline_circuits, fpart_circuits, save
 
 MEASURED = ("FPART", "k-way.x*", "FBB-MW*")
 
 
-def run_device_table(device: str) -> List[ExperimentRecord]:
+def run_device_table(device: str) -> List[RunRecord]:
     """Measure FPART (+ gated baselines) for one device's table."""
-    records: List[ExperimentRecord] = []
+    records: List[RunRecord] = []
     for circuit in fpart_circuits(device):
         records.append(run_method("FPART", circuit, device))
     for circuit in baseline_circuits(device):
@@ -27,7 +27,7 @@ def run_device_table(device: str) -> List[ExperimentRecord]:
     return records
 
 
-def check_and_save(device: str, records: List[ExperimentRecord], name: str) -> str:
+def check_and_save(device: str, records: List[RunRecord], name: str) -> str:
     """Render, persist and sanity-check the comparison table.
 
     Shape assertions (not absolute-number matches, per the synthetic

@@ -3,8 +3,8 @@
 
 Shows the experiment harness end-to-end: run the measured methods on a
 couple of Table 2 circuits, print the comparison against the published
-columns, a config sweep over the solution-stack depth, and export the
-raw records as JSON.
+columns, a config sweep over the solution-stack depth, and keep the raw
+records in a run store that ``fpart history --runs-dir DIR`` lists.
 
 Run:  python examples/paper_tables.py
 """
@@ -13,7 +13,6 @@ import tempfile
 from pathlib import Path
 
 from repro.analysis import (
-    records_to_json,
     render_device_comparison,
     render_sweep,
     run_device_experiment,
@@ -25,10 +24,15 @@ from repro.core import XC3020
 
 def main() -> None:
     circuits = ["c3540", "s9234"]
+    runs_dir = tempfile.mkdtemp(prefix="repro-tables-")
 
-    # 1. Table 2 slice, live FPART + k-way.x columns beside the paper's.
+    # 1. Table 2 slice, live FPART + k-way.x columns beside the paper's,
+    #    every cell recorded (with its metrics snapshot) in a run store.
     records = run_device_experiment(
-        "XC3020", circuits=circuits, methods=["FPART", "k-way.x*"]
+        "XC3020",
+        circuits=circuits,
+        methods=["FPART", "k-way.x*"],
+        runs_dir=runs_dir,
     )
     print(
         render_device_comparison("XC3020", records, ["FPART", "k-way.x*"])
@@ -40,10 +44,9 @@ def main() -> None:
     cells = sweep_config(hgs, XC3020, "stack_depth", [0, 2, 4])
     print(render_sweep(cells, "stack_depth"))
 
-    # 3. Machine-readable export.
-    out = Path(tempfile.mkdtemp(prefix="repro-tables-")) / "records.json"
-    out.write_text(records_to_json(records))
-    print(f"\nraw records exported to {out}")
+    # 3. The machine-readable records: one JSON line per cell.
+    print(f"\nrun records in {Path(runs_dir) / 'index.jsonl'}")
+    print(f"list them with: fpart history --runs-dir {runs_dir}")
 
 
 if __name__ == "__main__":

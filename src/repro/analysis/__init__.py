@@ -2,8 +2,6 @@
 
 from .experiments import (
     MEASURED_METHODS,
-    ExperimentRecord,
-    aggregate_metrics,
     circuit_for_device,
     render_cpu_table,
     render_device_comparison,
@@ -19,13 +17,6 @@ from .figures import (
     render_figure1,
     render_figure2,
     render_figure3,
-)
-from .export import (
-    read_records_json,
-    records_to_csv,
-    records_to_dicts,
-    records_to_json,
-    write_records,
 )
 from .report import generate_report
 from .sweeps import SweepCell, render_sweep, sweep_config
@@ -54,7 +45,6 @@ from .published import (
 from .tables import format_cell, render_table
 
 __all__ = [
-    "ExperimentRecord",
     "MEASURED_METHODS",
     "run_method",
     "run_device_experiment",
@@ -93,12 +83,6 @@ __all__ = [
     "convergence_from_trace",
     "render_pass_table",
     "render_convergence_svg",
-    "aggregate_metrics",
-    "records_to_dicts",
-    "records_to_json",
-    "records_to_csv",
-    "write_records",
-    "read_records_json",
     "generate_report",
     "SweepCell",
     "sweep_config",

@@ -4,6 +4,16 @@ Builds each benchmark circuit (Table 1 stand-ins), runs FPART and the
 reimplemented baselines, and renders comparison tables whose published
 columns carry the paper's verbatim numbers next to the measured ones.
 
+Every measured (circuit, device, method) cell is one
+:class:`~repro.obs.runstore.RunRecord` — the same record ``fpart
+partition --runs-dir`` writes.  With ``runs_dir`` each cell runs under
+a fresh :class:`MetricsRegistry` and is appended to that run store
+together with its metrics snapshot; a sweep-wide view is
+:func:`~repro.obs.metrics.merge_snapshots` over
+:meth:`RunStore.metrics_of`.  ``tests/test_paper_quality.py`` re-runs
+the default subset against the committed device counts in
+``tests/data/mcnc_fpart_baseline/index.jsonl``.
+
 The default circuit set is the six smaller circuits (DESIGN.md
 section 4), so a laptop run finishes in minutes.  Set ``REPRO_FULL=1``
 to include the four large circuits (s13207…s38584 — slow in pure
@@ -12,9 +22,9 @@ Python).
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import time
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..baselines import bfs_pack, fbb_multiway, kwayx
@@ -26,18 +36,15 @@ from ..circuits import (
 )
 from ..core import (
     DEFAULT_CONFIG,
-    Device,
     FpartConfig,
     FpartPartitioner,
     device_by_name,
 )
+from ..core.checkpoint import config_digest
 from ..hypergraph import Hypergraph
-from ..logging import get_logger
-from ..obs.metrics import (
-    NULL_METRICS,
-    MetricsRegistry,
-    merge_snapshots,
-)
+from ..logging import get_logger, new_run_id
+from ..obs.metrics import NULL_METRICS, MetricsRegistry
+from ..obs.runstore import RunRecord, RunStore, RunStoreError
 from .published import (
     TABLE6_CPU_SECONDS,
     PublishedTable,
@@ -46,101 +53,27 @@ from .published import (
 from .tables import render_table
 
 __all__ = [
-    "ExperimentRecord",
     "MEASURED_METHODS",
     "selected_circuits",
     "circuit_for_device",
     "run_method",
     "run_sweep_cell",
     "run_device_experiment",
-    "aggregate_metrics",
     "render_device_comparison",
     "render_cpu_table",
 ]
 
 
-@dataclass(frozen=True)
-class ExperimentRecord:
-    """One (circuit, device, method) measurement."""
-
-    circuit: str
-    device: str
-    method: str
-    num_devices: int
-    lower_bound: int
-    feasible: bool
-    runtime_seconds: float
-    status: str = "ok"
-    """``"ok"`` or ``"failed"`` — a failed cell renders as blank and is
-    excluded from table totals instead of sinking the whole sweep."""
-    error: Optional[str] = None
-    """Message of the exception that failed the cell (status="failed")."""
-    metrics: Optional[Dict] = None
-    """Per-cell metrics snapshot (``collect_metrics`` runs only);
-    aggregate across a sweep with :func:`aggregate_metrics`."""
-    run_id: str = ""
-    """Registry correlation id (FPART's own run id; generated for the
-    baselines so every recorded cell is addressable in a run store)."""
-    cost: Optional[Dict] = None
-    """Final lexicographic cost tuple in ``cost_fields`` layout (FPART
-    cells only)."""
-
-
-def _run_fpart(
-    hg: Hypergraph,
-    device: Device,
-    config: FpartConfig,
-    metrics: MetricsRegistry = NULL_METRICS,
-):
-    from ..obs.trace import cost_fields
-
-    result = FpartPartitioner(hg, device, config, metrics=metrics).run()
-    extra = {
-        "run_id": result.run_id,
-        "status": result.status,
-        "iterations": result.iterations,
-        "cost": cost_fields(result.cost) if result.cost is not None else None,
-    }
-    return result.num_devices, result.lower_bound, result.feasible, extra
-
-
-def _run_kwayx(
-    hg: Hypergraph,
-    device: Device,
-    config: FpartConfig,
-    metrics: MetricsRegistry = NULL_METRICS,
-):
-    result = kwayx(hg, device, config)
-    return result.num_devices, result.lower_bound, result.feasible, {}
-
-
-def _run_fbb(
-    hg: Hypergraph,
-    device: Device,
-    config: FpartConfig,
-    metrics: MetricsRegistry = NULL_METRICS,
-):
-    result = fbb_multiway(hg, device)
-    return result.num_devices, result.lower_bound, result.feasible, {}
-
-
-def _run_bfs_pack(
-    hg: Hypergraph,
-    device: Device,
-    config: FpartConfig,
-    metrics: MetricsRegistry = NULL_METRICS,
-):
-    result = bfs_pack(hg, device)
-    return result.num_devices, result.lower_bound, result.feasible, {}
-
+#: The reimplemented baselines, ``(hg, device, config) -> result``; a
+#: result carries ``num_devices``, ``lower_bound`` and ``feasible``.
+_BASELINES: Dict[str, Callable] = {
+    "k-way.x*": kwayx,
+    "FBB-MW*": lambda hg, device, config: fbb_multiway(hg, device),
+    "BFS-pack": lambda hg, device, config: bfs_pack(hg, device),
+}
 
 #: Methods measured live, in table order.
-MEASURED_METHODS: Dict[str, Callable] = {
-    "FPART": _run_fpart,
-    "k-way.x*": _run_kwayx,
-    "FBB-MW*": _run_fbb,
-    "BFS-pack": _run_bfs_pack,
-}
+MEASURED_METHODS: Tuple[str, ...] = ("FPART", *_BASELINES)
 
 
 def selected_circuits(device: str) -> Tuple[str, ...]:
@@ -170,109 +103,91 @@ def run_method(
     circuit: str,
     device_name: str,
     config: FpartConfig = DEFAULT_CONFIG,
-    collect_metrics: bool = False,
     runs_dir: Optional[str] = None,
-) -> ExperimentRecord:
+) -> RunRecord:
     """Run one measured method on one circuit/device pair.
 
-    With ``collect_metrics`` the cell runs under a fresh
-    :class:`MetricsRegistry` and the record carries its snapshot
-    (instrumented methods only — the baselines that bypass the
-    instrumented engines return an empty snapshot).
+    An FPART cell is :meth:`RunRecord.for_fpart` of its result; a
+    baseline cell has ``status="ok"``, no cost tuple and the wall time
+    measured around the call.  Both are keyed by the sweep's own
+    ``circuit``/``device_name``.  Exceptions, including the
+    ``KeyError`` of an unknown method, propagate (fail fast);
+    :func:`run_sweep_cell` is the isolating wrapper.
 
-    With ``runs_dir`` the finished cell is also appended to that
-    :class:`~repro.obs.runstore.RunStore` registry, so a whole sweep
-    becomes ``fpart history`` / ``fpart compare`` addressable.
+    With ``runs_dir`` the cell runs under a fresh
+    :class:`MetricsRegistry` and is appended, with its snapshot, to that
+    :class:`~repro.obs.runstore.RunStore` (the baselines bypass the
+    instrumented engines, so theirs is empty), making a whole sweep
+    ``fpart history`` / ``fpart compare`` addressable.
     """
-    from ..logging import new_run_id
-
-    runner = MEASURED_METHODS[method]
     device = device_by_name(device_name)
     hg = circuit_for_device(circuit, device_name)
-    registry = MetricsRegistry() if collect_metrics else NULL_METRICS
-    start = time.perf_counter()
-    num_devices, lower_bound, feasible, extra = runner(
-        hg, device, config, metrics=registry
-    )
-    runtime = time.perf_counter() - start
-    record = ExperimentRecord(
-        circuit=circuit,
-        device=device_name,
-        method=method,
-        num_devices=num_devices,
-        lower_bound=lower_bound,
-        feasible=feasible,
-        runtime_seconds=runtime,
-        metrics=registry.snapshot() if collect_metrics else None,
-        run_id=extra.get("run_id") or new_run_id(),
-        cost=extra.get("cost"),
-    )
-    if runs_dir:
-        _store_experiment_record(
-            runs_dir,
-            record,
-            config,
-            status=extra.get("status", "ok"),
-            iterations=int(extra.get("iterations", 0)),
+    metrics = MetricsRegistry() if runs_dir else NULL_METRICS
+    if method == "FPART":
+        result = FpartPartitioner(hg, device, config, metrics=metrics).run()
+        record = RunRecord.for_fpart(result, result.run_id, config)
+    else:
+        start = time.perf_counter()
+        result = _BASELINES[method](hg, device, config)
+        record = RunRecord(
+            run_id=new_run_id(),
+            circuit=circuit,
+            device=device_name,
+            method=method,
+            status="ok",
+            num_devices=result.num_devices,
+            lower_bound=result.lower_bound,
+            feasible=result.feasible,
+            wall_seconds=time.perf_counter() - start,
+            config_digest=config_digest(config),
+            seed=config.seed,
         )
+    # FpartResult names the mapped netlist ("c3540/XC3000"); the sweep
+    # keys its cells by the table's circuit and device names.
+    record = dataclasses.replace(record, circuit=circuit, device=device_name)
+    if runs_dir:
+        _record_cell(runs_dir, record, metrics.snapshot())
     return record
 
 
-def _store_experiment_record(
-    runs_dir: str,
-    record: ExperimentRecord,
-    config: FpartConfig,
-    status: str = "ok",
-    iterations: int = 0,
+def _record_cell(
+    runs_dir: str, record: RunRecord, metrics: Optional[Dict] = None
 ) -> None:
     """Append one sweep cell to the run registry (best effort)."""
-    from ..core.checkpoint import config_digest
-    from ..obs.runstore import RunRecord, RunStore, RunStoreError
-
-    run_record = RunRecord(
-        run_id=record.run_id,
-        circuit=record.circuit,
-        device=record.device,
-        method=record.method,
-        status=status,
-        num_devices=record.num_devices,
-        lower_bound=record.lower_bound,
-        feasible=record.feasible,
-        cost=record.cost,
-        wall_seconds=record.runtime_seconds,
-        iterations=iterations,
-        config_digest=config_digest(config),
-        seed=config.seed,
-    )
     try:
-        RunStore(runs_dir).record_run(run_record, metrics=record.metrics)
+        RunStore(runs_dir).record_run(record, metrics=metrics)
     except RunStoreError as error:
         get_logger("analysis.experiments").warning(
             "run %s not recorded in %s: %s", record.run_id, runs_dir, error
         )
 
 
-def _failed_cell_record(
+def _failed_cell(
     circuit: str,
     device_name: str,
     method: str,
+    config: FpartConfig,
     error: str,
-) -> ExperimentRecord:
-    """The ``status="failed"`` placeholder a broken cell leaves behind."""
-    from ..logging import new_run_id
+    runs_dir: Optional[str],
+) -> RunRecord:
+    """The ``status="failed"`` record a broken cell leaves behind.
 
-    return ExperimentRecord(
+    The error message rides in ``labels["error"]`` so ``fpart history``
+    shows why the cell failed.
+    """
+    record = RunRecord(
+        run_id=new_run_id(),
         circuit=circuit,
         device=device_name,
         method=method,
-        num_devices=0,
-        lower_bound=0,
-        feasible=False,
-        runtime_seconds=0.0,
         status="failed",
-        error=error,
-        run_id=new_run_id(),
+        config_digest=config_digest(config),
+        seed=config.seed,
+        labels={"error": error},
     )
+    if runs_dir:
+        _record_cell(runs_dir, record)
+    return record
 
 
 def run_sweep_cell(
@@ -281,11 +196,12 @@ def run_sweep_cell(
     device_name: str,
     config: FpartConfig = DEFAULT_CONFIG,
     retries: int = 1,
-    collect_metrics: bool = False,
     runs_dir: Optional[str] = None,
-) -> ExperimentRecord:
+) -> RunRecord:
     """One isolated sweep cell: :func:`run_method` plus the retry loop.
 
+    A cell that still raises after ``retries`` re-attempts becomes a
+    ``status="failed"`` record instead of losing the whole sweep.
     Module-level (hence picklable) so sharded sweeps can ship whole
     cells to worker processes — a worker retries and degrades exactly
     like the serial sweep, including recording its own runs (failed
@@ -296,9 +212,7 @@ def run_sweep_cell(
     while True:
         try:
             return run_method(
-                method, circuit, device_name, config,
-                collect_metrics=collect_metrics,
-                runs_dir=runs_dir,
+                method, circuit, device_name, config, runs_dir=runs_dir
             )
         except Exception as error:  # noqa: BLE001 - cell isolation
             attempt += 1
@@ -312,15 +226,10 @@ def run_sweep_cell(
                 "cell %s/%s/%s failed after %d attempts: %s",
                 circuit, device_name, method, attempt, error,
             )
-            failed = _failed_cell_record(
-                circuit, device_name, method,
-                error=f"{type(error).__name__}: {error}",
+            return _failed_cell(
+                circuit, device_name, method, config,
+                f"{type(error).__name__}: {error}", runs_dir,
             )
-            if runs_dir:
-                _store_experiment_record(
-                    runs_dir, failed, config, status="failed"
-                )
-            return failed
 
 
 def run_device_experiment(
@@ -328,76 +237,40 @@ def run_device_experiment(
     circuits: Optional[Sequence[str]] = None,
     methods: Optional[Sequence[str]] = None,
     config: FpartConfig = DEFAULT_CONFIG,
-    isolate: bool = True,
     retries: int = 1,
-    collect_metrics: bool = False,
     runs_dir: Optional[str] = None,
     jobs: int = 1,
-    metrics: Optional[MetricsRegistry] = None,
-) -> List[ExperimentRecord]:
+) -> List[RunRecord]:
     """All measured cells of one device's comparison table.
 
-    With ``isolate`` (the default) each (circuit, method) cell runs in
-    its own try/except with up to ``retries`` re-attempts: one crashing
-    baseline yields a ``status="failed"`` record instead of losing the
-    whole multi-minute sweep.  ``isolate=False`` restores fail-fast
-    propagation for debugging.
+    Each (circuit, method) cell runs through :func:`run_sweep_cell`:
+    one crashing baseline yields a ``status="failed"`` record instead
+    of losing the whole multi-minute sweep.  ``runs_dir`` appends every
+    cell — failed ones included — to the run registry, with a metrics
+    snapshot per cell, making the sweep ``fpart history``-addressable.
 
-    ``collect_metrics`` threads a fresh registry through every cell;
-    the per-cell snapshots land on :attr:`ExperimentRecord.metrics` and
-    :func:`aggregate_metrics` folds them into one sweep-wide view.  Pass
-    a live ``metrics`` registry to additionally fold every snapshot into
-    it as cells finish (:meth:`MetricsRegistry.merge`) — the aggregation
-    point for sharded sweeps, whose workers each run their own registry.
-
-    ``runs_dir`` appends every cell — failed ones included — to the run
-    registry, making the sweep ``fpart history``-addressable.
-
-    ``jobs > 1`` shards the cells across worker processes (requires
-    ``isolate``; each worker runs :func:`run_sweep_cell`, so retry,
-    degradation and run-store recording semantics are identical).
-    Records always come back in serial circuit × method order, so the
-    sweep output is independent of worker count and completion order; a
-    worker that crashes or times out degrades to a ``failed`` record
-    like any other broken cell.
+    ``jobs > 1`` shards the cells across worker processes (each runs
+    :func:`run_sweep_cell`, so retry, degradation and run-store
+    recording semantics are identical).  Records always come back in
+    serial circuit × method order, so the sweep output is independent
+    of worker count and completion order; a worker that crashes or
+    times out degrades to a ``failed`` record like any other broken
+    cell.
     """
     if circuits is None:
         circuits = selected_circuits(device_name)
     if methods is None:
-        methods = list(MEASURED_METHODS)
+        methods = MEASURED_METHODS
     cells = [(c, m) for c in circuits for m in methods]
     if jobs > 1:
-        if not isolate:
-            raise ValueError("sharded sweeps (jobs > 1) require isolate")
-        records = _run_sharded(
-            cells, device_name, config, retries, collect_metrics,
-            runs_dir, jobs,
+        return _run_sharded(cells, device_name, config, retries, runs_dir, jobs)
+    return [
+        run_sweep_cell(
+            method, circuit, device_name, config,
+            retries=retries, runs_dir=runs_dir,
         )
-    else:
-        records = []
-        for circuit, method in cells:
-            if not isolate:
-                records.append(
-                    run_method(
-                        method, circuit, device_name, config,
-                        collect_metrics=collect_metrics,
-                        runs_dir=runs_dir,
-                    )
-                )
-                continue
-            records.append(
-                run_sweep_cell(
-                    method, circuit, device_name, config,
-                    retries=retries,
-                    collect_metrics=collect_metrics,
-                    runs_dir=runs_dir,
-                )
-            )
-    if metrics is not None:
-        for record in records:
-            if record.metrics is not None:
-                metrics.merge(record.metrics)
-    return records
+        for circuit, method in cells
+    ]
 
 
 def _run_sharded(
@@ -405,10 +278,9 @@ def _run_sharded(
     device_name: str,
     config: FpartConfig,
     retries: int,
-    collect_metrics: bool,
     runs_dir: Optional[str],
     jobs: int,
-) -> List[ExperimentRecord]:
+) -> List[RunRecord]:
     """Fan sweep cells across a worker pool, keeping serial ordering."""
     # Deferred import: repro.parallel pulls in core.fpart at import
     # time; loading it lazily keeps `import repro.analysis` light and
@@ -421,11 +293,7 @@ def _run_sharded(
             index=i,
             fn=run_sweep_cell,
             args=(method, circuit, device_name, config),
-            kwargs={
-                "retries": retries,
-                "collect_metrics": collect_metrics,
-                "runs_dir": runs_dir,
-            },
+            kwargs={"retries": retries, "runs_dir": runs_dir},
             label=f"{circuit}/{method}",
         )
         for i, (circuit, method) in enumerate(cells)
@@ -443,48 +311,32 @@ def _run_sharded(
             "cell %s/%s/%s lost to worker %s: %s",
             circuit, device_name, method, outcome.status, outcome.error,
         )
-        failed = _failed_cell_record(
-            circuit, device_name, method,
-            error=f"worker {outcome.status}: {outcome.error}",
-        )
-        records.append(failed)
-        if runs_dir:
-            _store_experiment_record(
-                runs_dir, failed, config, status="failed"
+        records.append(
+            _failed_cell(
+                circuit, device_name, method, config,
+                f"worker {outcome.status}: {outcome.error}", runs_dir,
             )
+        )
     return records
-
-
-def aggregate_metrics(
-    records: Sequence[ExperimentRecord],
-) -> Dict[str, Dict]:
-    """Sweep-wide metrics view over records that carry snapshots.
-
-    Counters/timers/histograms sum, gauges keep their maximum (see
-    :func:`repro.obs.metrics.merge_snapshots`).  Records without a
-    snapshot (baselines, failed cells, metrics-off runs) are skipped.
-    """
-    return merge_snapshots(
-        [r.metrics for r in records if r.metrics is not None]
-    )
 
 
 def render_device_comparison(
     device_name: str,
-    records: Sequence[ExperimentRecord],
+    records: Sequence[RunRecord],
     methods: Optional[Sequence[str]] = None,
 ) -> str:
     """Comparison table: published columns + measured columns + M.
 
     Published cells come from the paper (Tables 2–5); measured methods
     are suffixed nothing — their header carries a ``*`` already where the
-    implementation is ours.  The last rows are per-column totals over the
-    circuits present, mirroring the paper's "Total" row.
+    implementation is ours.  A ``status="failed"`` cell renders blank.
+    The last rows are per-column totals over the circuits present,
+    mirroring the paper's "Total" row.
     """
     published: PublishedTable = published_table_for_device(device_name)
     if methods is None:
         methods = sorted(
-            {r.method for r in records}, key=list(MEASURED_METHODS).index
+            {r.method for r in records}, key=MEASURED_METHODS.index
         )
     by_cell = {(r.circuit, r.method): r for r in records}
     circuits = [
@@ -509,7 +361,7 @@ def render_device_comparison(
             record = by_cell.get((circuit, method))
             row.append(
                 record.num_devices
-                if record is not None and record.status == "ok"
+                if record is not None and record.status != "failed"
                 else None
             )
         row.append(published.value(circuit, "M"))
@@ -526,7 +378,7 @@ def render_device_comparison(
             by_cell[(c, method)].num_devices
             for c in circuits
             if (c, method) in by_cell
-            and by_cell[(c, method)].status == "ok"
+            and by_cell[(c, method)].status != "failed"
         ]
         total_row.append(sum(values) if values else None)
     total_row.append(sum(published.value(c, "M") for c in circuits))
@@ -537,10 +389,10 @@ def render_device_comparison(
     )
 
 
-def render_cpu_table(records: Sequence[ExperimentRecord]) -> str:
+def render_cpu_table(records: Sequence[RunRecord]) -> str:
     """Table 6 analogue: measured FPART seconds vs the paper's Sparc."""
     fpart_records = [
-        r for r in records if r.method == "FPART" and r.status == "ok"
+        r for r in records if r.method == "FPART" and r.status != "failed"
     ]
     devices = sorted({r.device for r in fpart_records})
     circuits = [
@@ -558,7 +410,7 @@ def render_cpu_table(records: Sequence[ExperimentRecord]) -> str:
         row: List = [circuit]
         for device in devices:
             record = by_cell.get((circuit, device))
-            row.append(record.runtime_seconds if record else None)
+            row.append(record.wall_seconds if record else None)
             row.append(TABLE6_CPU_SECONDS[circuit].get(device))
         rows.append(row)
     return render_table(

@@ -368,11 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="measured methods (FPART, 'k-way.x*', 'FBB-MW*', BFS-pack)",
     )
     t.add_argument(
-        "--export",
-        default=None,
-        help="also write raw records to this .json or .csv file",
-    )
-    t.add_argument(
         "--runs-dir",
         default=None,
         metavar="DIR",
@@ -1340,11 +1335,6 @@ def _cmd_table(args: argparse.Namespace) -> int:
         jobs=args.jobs,
     )
     print(render_device_comparison(args.device, records, args.methods))
-    if args.export:
-        from .analysis import write_records
-
-        path = write_records(records, args.export)
-        print(f"records exported to {path}")
     return 0
 
 

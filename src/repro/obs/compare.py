@@ -240,7 +240,11 @@ def compare_runs(
 def render_history(
     records: Sequence[RunRecord], limit: Optional[int] = None
 ) -> str:
-    """Plain-text run history table, oldest first."""
+    """Plain-text run history table, oldest first.
+
+    A run whose ``labels`` carry an ``error`` (a failed sweep cell) gets
+    the message on an indented line under its row.
+    """
     if limit is not None:
         records = records[-limit:]
     if not records:
@@ -260,4 +264,6 @@ def render_history(
             f"{'' if t_sum is None else int(t_sum):>7} "
             f"{r.wall_seconds:>8.3f}"
         )
+        if r.labels.get("error"):
+            lines.append(f"  error: {r.labels['error']}")
     return "\n".join(lines)

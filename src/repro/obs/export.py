@@ -594,41 +594,3 @@ def write_chrome_trace(
         )
         + "\n",
     )
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """``python -m repro.obs.export FILE`` — validate an OpenMetrics doc.
-
-    The CI serve job pipes a live ``GET /metrics`` scrape through this
-    to fail the build on any exposition-format regression.
-    """
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.export",
-        description="validate an OpenMetrics text exposition document",
-    )
-    parser.add_argument("document", help="OpenMetrics text file")
-    args = parser.parse_args(argv)
-    try:
-        text = Path(args.document).read_text(encoding="utf-8")
-    except OSError as error:
-        print(f"openmetrics: error: {error}")
-        return 1
-    problems = validate_openmetrics(text)
-    if problems:
-        for problem in problems:
-            print(f"openmetrics: {problem}")
-        print(f"{args.document}: {len(problems)} format error(s)")
-        return 1
-    samples = parse_openmetrics(text)
-    families = sorted({name for name, _labels, _value in samples})
-    print(
-        f"{args.document}: {len(samples)} samples OK "
-        f"({len(families)} metric names)"
-    )
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

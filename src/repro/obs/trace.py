@@ -37,7 +37,7 @@ Validation
 ----------
 :func:`validate_event` / :func:`validate_trace` check a parsed stream
 against the schema (used by tests and the CI observability job);
-``python -m repro.obs.trace FILE`` validates a file from the command
+``python -m repro.obs trace FILE`` validates a file from the command
 line.
 """
 
@@ -362,36 +362,3 @@ def validate_trace(events: Iterable[dict]) -> List[str]:
                     f"event {index}: run_id {rid!r} differs from {run_id!r}"
                 )
     return errors
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """``python -m repro.obs.trace FILE`` — validate a trace stream."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.trace",
-        description="validate an FPART JSONL trace against the schema",
-    )
-    parser.add_argument("trace", help="JSONL trace file")
-    args = parser.parse_args(argv)
-    try:
-        events = read_trace(args.trace)
-    except (OSError, ValueError) as error:
-        print(f"trace: error: {error}")
-        return 1
-    errors = validate_trace(events)
-    if errors:
-        for problem in errors:
-            print(f"trace: {problem}")
-        print(f"{args.trace}: {len(errors)} schema error(s)")
-        return 1
-    kinds: Dict[str, int] = {}
-    for event in events:
-        kinds[event["event"]] = kinds.get(event["event"], 0) + 1
-    summary = ", ".join(f"{k}={kinds[k]}" for k in EVENT_TYPES if k in kinds)
-    print(f"{args.trace}: {len(events)} events OK ({summary})")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

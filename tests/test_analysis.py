@@ -101,7 +101,9 @@ class TestExperimentRunner:
         record = run_method("FPART", "c3540", "XC3042")
         assert record.feasible
         assert record.num_devices >= record.lower_bound == 3
-        assert record.runtime_seconds > 0
+        assert record.wall_seconds > 0
+        # Keyed by the sweep's circuit name, not the mapped netlist's.
+        assert (record.circuit, record.device) == ("c3540", "XC3042")
 
     def test_comparison_render_includes_published(self):
         records = run_device_experiment(
@@ -121,28 +123,59 @@ class TestExperimentRunner:
         assert "c3540" in text
         assert "paper" in text
 
-    def test_collect_metrics_snapshots_and_aggregates(self):
-        from repro.analysis import aggregate_metrics
+    def test_collect_metrics_snapshots_and_aggregates(self, tmp_path):
+        from repro.obs import RunStore, merge_snapshots
 
         records = run_device_experiment(
             "XC3042",
             circuits=["c3540"],
             methods=["FPART", "BFS-pack"],
-            collect_metrics=True,
+            runs_dir=str(tmp_path),
         )
+        store = RunStore(tmp_path)
         fpart_rec = next(r for r in records if r.method == "FPART")
         pack_rec = next(r for r in records if r.method == "BFS-pack")
-        assert fpart_rec.metrics is not None
-        assert fpart_rec.metrics["counters"]["fpart.runs"] == 1
+        fpart_snapshot = store.metrics_of(fpart_rec.run_id)
+        assert fpart_snapshot["counters"]["fpart.runs"] == 1
         # BFS-pack bypasses the instrumented engines: empty snapshot.
-        assert pack_rec.metrics["counters"] == {}
-        merged = aggregate_metrics(records)
+        assert store.metrics_of(pack_rec.run_id)["counters"] == {}
+        merged = merge_snapshots(
+            [store.metrics_of(r.run_id) for r in records]
+        )
         assert merged["counters"]["fpart.runs"] == 1
         assert merged["counters"]["sanchis.moves_tried"] > 0
 
-    def test_metrics_off_records_have_no_snapshot(self):
-        record = run_method("FPART", "c3540", "XC3042")
-        assert record.metrics is None
+    def test_failed_cell_is_blank_and_excluded_from_totals(self):
+        from repro.obs import RunRecord
+
+        failed = [
+            RunRecord(
+                run_id="f1", circuit="c3540", device="XC3042",
+                status="failed",
+            )
+        ]
+        text = render_device_comparison("XC3042", failed, ["FPART"])
+        row = next(line for line in text.splitlines() if "c3540" in line)
+        # The "FPART (ours)" column is blank ("-"), so is its total.
+        assert row.split()[-2] == "-"
+        assert text.splitlines()[-1].split()[-2] == "-"
+        assert "c3540" not in render_cpu_table(failed)
+
+    def test_failed_cell_keeps_its_error_in_the_store(self, tmp_path):
+        from repro.analysis.experiments import run_sweep_cell
+        from repro.obs import RunStore, render_history
+
+        record = run_sweep_cell(
+            "no-such-method", "c3540", "XC3042",
+            retries=0, runs_dir=str(tmp_path),
+        )
+        assert record.status == "failed"
+        (stored,) = RunStore(tmp_path).records()
+        assert stored.run_id == record.run_id
+        assert stored.status == "failed"
+        assert "no-such-method" in stored.labels["error"]
+        assert stored.labels["error"].startswith("KeyError")
+        assert f"error: {stored.labels['error']}" in render_history([stored])
 
 
 class TestFigures:

@@ -272,7 +272,7 @@ class TestExperimentRunsDir:
         runs_dir = tmp_path / "runs"
         record = run_method(
             "FPART", "c3540", "XC3042",
-            collect_metrics=True, runs_dir=str(runs_dir),
+            runs_dir=str(runs_dir),
         )
         baseline = run_method(
             "BFS-pack", "c3540", "XC3042", runs_dir=str(runs_dir)

@@ -1,62 +1,11 @@
-"""Result export (JSON/CSV) and the markdown report generator."""
-
-import json
+"""The markdown report generator and the table command's run records."""
 
 import pytest
 
-from repro.analysis import (
-    ExperimentRecord,
-    generate_report,
-    read_records_json,
-    records_to_csv,
-    records_to_dicts,
-    records_to_json,
-    write_records,
-)
+from repro.analysis import generate_report
 from repro.circuits import generate_circuit
 from repro.core import Device
-
-
-def make_records():
-    return [
-        ExperimentRecord("c3540", "XC3020", "FPART", 5, 5, True, 0.3),
-        ExperimentRecord("s9234", "XC3020", "k-way.x*", 9, 8, True, 0.5),
-    ]
-
-
-class TestExport:
-    def test_dicts(self):
-        dicts = records_to_dicts(make_records())
-        assert dicts[0]["circuit"] == "c3540"
-        assert dicts[1]["num_devices"] == 9
-
-    def test_json_roundtrip(self, tmp_path):
-        records = make_records()
-        path = write_records(records, tmp_path / "r.json")
-        back = read_records_json(path)
-        assert back == records
-
-    def test_json_is_valid(self):
-        data = json.loads(records_to_json(make_records()))
-        assert len(data) == 2
-
-    def test_csv(self):
-        text = records_to_csv(make_records())
-        lines = text.strip().splitlines()
-        assert lines[0].startswith("circuit,device,method")
-        assert len(lines) == 3
-        assert "c3540" in lines[1]
-
-    def test_csv_empty(self):
-        assert records_to_csv([]) == ""
-
-    def test_write_csv(self, tmp_path):
-        path = write_records(make_records(), tmp_path / "r.csv")
-        assert path.read_text().startswith("circuit")
-
-    def test_bad_extension(self, tmp_path):
-        with pytest.raises(ValueError, match="extension"):
-            write_records(make_records(), tmp_path / "r.xlsx")
+from repro.obs.runstore import RunStore
 
 
 class TestReport:
@@ -108,10 +57,24 @@ class TestCliIntegration:
     def test_table_export(self, tmp_path, capsys):
         from repro.cli import main
 
-        export = tmp_path / "records.json"
+        runs_dir = tmp_path / "runs"
         assert main(
             ["table", "XC3042", "--circuits", "c3540",
-             "--methods", "FPART", "--export", str(export)]
+             "--methods", "FPART", "BFS-pack", "--runs-dir", str(runs_dir)]
         ) == 0
-        back = read_records_json(export)
-        assert back[0].circuit == "c3540"
+        table = capsys.readouterr().out
+        store = RunStore(runs_dir)
+        records = store.records()
+        assert [(r.circuit, r.device, r.method) for r in records] == [
+            ("c3540", "XC3042", "FPART"),
+            ("c3540", "XC3042", "BFS-pack"),
+        ]
+        fpart, pack = records
+        assert fpart.status == "feasible" and pack.status == "ok"
+        assert fpart.cost is not None and pack.cost is None
+        # The stored counts are the ones the printed table shows.
+        row = next(line for line in table.splitlines() if "c3540" in line)
+        assert row.split()[-3:-1] == [
+            str(fpart.num_devices), str(pack.num_devices)
+        ]
+        assert store.metrics_of(fpart.run_id)["counters"]["fpart.runs"] == 1

@@ -4,11 +4,16 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+from repro.obs.__main__ import main as obs_main
 from repro.obs.trace import (
     COST_KEYS,
     EVENT_TYPES,
@@ -16,7 +21,6 @@ from repro.obs.trace import (
     TRACE_SCHEMA,
     TraceWriter,
     cost_fields,
-    main as trace_main,
     read_trace,
     validate_event,
     validate_trace,
@@ -215,7 +219,7 @@ class TestCliValidator:
 
     def test_valid_file_exits_zero(self, tmp_path, capsys):
         path = self._write(tmp_path, _valid_stream())
-        assert trace_main([str(path)]) == 0
+        assert obs_main(["trace", str(path)]) == 0
         out = capsys.readouterr().out
         assert "10 events OK" in out
         assert "run_start=1" in out
@@ -224,9 +228,42 @@ class TestCliValidator:
         events = _valid_stream()
         del events[0]["circuit"]
         path = self._write(tmp_path, events)
-        assert trace_main([str(path)]) == 1
+        assert obs_main(["trace", str(path)]) == 1
         assert "schema error" in capsys.readouterr().out
 
     def test_missing_file_exits_one(self, tmp_path, capsys):
-        assert trace_main([str(tmp_path / "absent.jsonl")]) == 1
+        assert obs_main(["trace", str(tmp_path / "absent.jsonl")]) == 1
         assert "error" in capsys.readouterr().out
+
+    def test_openmetrics_document(self, tmp_path, capsys):
+        good = tmp_path / "m.prom"
+        good.write_text("# TYPE runs counter\nruns_total 2\n# EOF\n")
+        assert obs_main(["openmetrics", str(good)]) == 0
+        assert "1 samples OK" in capsys.readouterr().out
+        bad = tmp_path / "bad.prom"
+        bad.write_text("runs_total 2\n")
+        assert obs_main(["openmetrics", str(bad)]) == 1
+        assert "format error" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("kind", ["trace", "openmetrics"])
+    def test_module_runs_without_runtime_warning(self, tmp_path, kind):
+        # runpy warns when `-m` names a module its package already
+        # imported; the package's own __main__ must run clean.
+        if kind == "trace":
+            path = self._write(tmp_path, _valid_stream())
+        else:
+            path = tmp_path / "m.prom"
+            path.write_text("# TYPE runs counter\nruns_total 2\n# EOF\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning",
+             "-m", "repro.obs", kind, str(path)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "OK" in proc.stdout
+        assert "Warning" not in proc.stderr

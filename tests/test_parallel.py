@@ -15,8 +15,8 @@ Pins the contracts of ``repro.parallel``:
   portfolio to ``partial`` instead of sinking it, and every restart
   records itself into a shared run store;
 * **sweeps** — sharded ``run_device_experiment`` returns the same
-  records in the same order as the serial sweep, and per-worker metric
-  registries merge to the serial totals;
+  records in the same order as the serial sweep, and the per-cell metric
+  snapshots its workers store merge to the serial totals;
 * **CLI** — ``partition --restarts/--jobs`` and ``history --best``.
 """
 
@@ -468,20 +468,12 @@ class TestShardedSweep:
     def test_matches_serial_sweep(self, tmp_path):
         from repro.analysis.experiments import run_device_experiment
 
-        kwargs = dict(
-            circuits=["c3540"],
-            methods=["FPART", "BFS-pack"],
-            collect_metrics=True,
-        )
-        serial_reg = MetricsRegistry()
+        kwargs = dict(circuits=["c3540"], methods=["FPART", "BFS-pack"])
         serial = run_device_experiment(
-            "XC3042", metrics=serial_reg,
-            runs_dir=str(tmp_path / "a"), **kwargs
+            "XC3042", runs_dir=str(tmp_path / "a"), **kwargs
         )
-        sharded_reg = MetricsRegistry()
         sharded = run_device_experiment(
-            "XC3042", jobs=2, metrics=sharded_reg,
-            runs_dir=str(tmp_path / "b"), **kwargs
+            "XC3042", jobs=2, runs_dir=str(tmp_path / "b"), **kwargs
         )
         assert [
             (r.circuit, r.method, r.num_devices, r.status, r.feasible)
@@ -490,20 +482,21 @@ class TestShardedSweep:
             (r.circuit, r.method, r.num_devices, r.status, r.feasible)
             for r in serial
         ]
-        # Deterministic metric sections agree; timers are wall-clock.
-        assert (
-            sharded_reg.snapshot()["counters"]
-            == serial_reg.snapshot()["counters"]
-        )
+
+        def merged_counters(runs_dir):
+            store = RunStore(str(runs_dir))
+            return merge_snapshots(
+                [store.metrics_of(r.run_id) for r in store.records()]
+            )["counters"]
+
+        # Each worker records its cells' snapshots into the store;
+        # deterministic metric sections agree, timers are wall-clock.
+        serial_counters = merged_counters(tmp_path / "a")
+        assert serial_counters["fpart.runs"] == 1
+        assert merged_counters(tmp_path / "b") == serial_counters
         assert len(RunStore(str(tmp_path / "a")).records()) == len(
             RunStore(str(tmp_path / "b")).records()
         )
-
-    def test_sharding_requires_isolation(self):
-        from repro.analysis.experiments import run_device_experiment
-
-        with pytest.raises(ValueError):
-            run_device_experiment("XC3042", isolate=False, jobs=2)
 
 
 class TestMetricsMerge:
