@@ -1,40 +1,42 @@
-"""Perf-regression harness: whole-run and evaluator-path timings.
+"""Perf-regression harness: the gates the end-to-end benchmark lacks.
 
 Standalone (NOT a pytest-benchmark bench)::
 
     PYTHONPATH=src python benchmarks/bench_perf_regression.py
     PYTHONPATH=src python benchmarks/bench_perf_regression.py --smoke
 
-Measures two things and writes ``BENCH_perf.json`` at the repo root
-(schema documented in EXPERIMENTS.md):
+Whole-run and serve latency are measured layer by layer by
+``benchmarks/e2e``; this harness keeps only what that benchmark does
+not measure, and writes ``BENCH_perf.json`` at the repo root (schema
+documented in EXPERIMENTS.md):
 
-1. **Whole-run wall time** of canonical FPART workloads, once on the
-   default incremental evaluator and once with the full-sweep
-   :class:`~repro.core.cost.CostEvaluator` injected through
-   ``FpartPartitioner(..., evaluator=...)``; the two runs must produce
-   identical assignments (the incremental evaluator is bit-identical by
-   construction, so any divergence is a bug).
+1. **Evaluator-path speedup** (``evaluator_path``) — the per-move
+   cost-evaluation work.  The pre-change engine re-evaluated the full
+   O(k) sweep (plus a frozen-dataclass ``SolutionCost``) after every
+   applied move; the incremental path does one fused two-block refresh
+   that also rebuilds the raw comparison key, which the engines then
+   read from ``last_key_cell``.  Keys are verified bitwise equal
+   move-for-move, then both paths are timed over the same recorded move
+   trace on a mid-run FPART state against a speedup floor.
 
-2. **Evaluator-path speedup** — the per-move cost-evaluation work,
-   which is what this harness guards against regressing.  The pre-change
-   engine re-evaluated the full O(k) sweep (plus a frozen-dataclass
-   ``SolutionCost``) after every applied move; the incremental path does
-   one fused two-block refresh that also rebuilds the raw comparison
-   key, which the engines then read from ``last_key_cell``.  Keys are
-   verified bitwise equal move-for-move, then both paths are timed over
-   the same recorded move trace on a mid-run FPART state, and the
-   harness fails (exit 1) if the speedup drops below the floor.
+2. **Restart-portfolio scaling** (``parallel_scaling``) — ``jobs=4``
+   vs ``jobs=1`` wall clock against a speedup floor; the portfolio
+   winner must be identical.
 
-3. **Serve-obs case** (schema 6) — the wall-clock overhead of service
-   observability (span tracing, /metrics, journalled span ids) on
-   sleep-dominated serve jobs, obs on vs ``obs_enabled=False``.
+3. **Instrumentation overhead** (``instrumentation_overhead``) — every
+   instrument on vs off, timed by one procedure
+   (:func:`paired_overhead`) and judged by one rule
+   (:func:`overhead_verdict`) in two arms: ``run`` (whole FPART runs
+   under the run guard, metrics, trace, heartbeat and the sampling
+   profiler) and ``serve`` (a sleep-job batch through
+   :class:`~repro.serve.PartitionService`, observability on vs off).
+   Every ``run``-arm assignment must equal the first one: observing a
+   run never changes it.
 
-4. **Prof-overhead case** (schema 7) — the wall-clock overhead of the
-   sampling profiler (``repro.obs.prof``, default 97 Hz) on whole FPART
-   runs, profiled vs unprofiled arms.  The profiler only *reads* frames
-   from a background thread, so both arms must stay bit-identical; the
-   measured cost is GIL contention from the sampler thread waking
-   ``hz`` times a second.
+A divergence in any identity check stops the harness with ``FATAL``.
+The exit status is 1 on a floor breach or an overhead ``fail``; an
+``unresolved`` overhead (paired spread wider than the ceiling) is
+printed and stored as such, but does not fail the run.
 
 Cross-PR trajectory: commit the refreshed ``BENCH_perf.json`` whenever
 the numbers move materially; ``git log -p BENCH_perf.json`` then shows
@@ -46,19 +48,17 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import random
+import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from helpers import (  # noqa: E402
-    attach_untracked,
-    interleaved_min,
-    replay_fixture,
-)
 from repro.circuits import mcnc_circuit  # noqa: E402
 from repro.core import (  # noqa: E402
     NULL_GUARD,
@@ -66,11 +66,10 @@ from repro.core import (  # noqa: E402
     FpartConfig,
     FpartPartitioner,
     IncrementalCostEvaluator,
-    RunBudget,
-    RunGuard,
     device_by_name,
     fpart,
 )
+from repro.partition import PartitionState  # noqa: E402
 
 #: Minimum acceptable evaluator-path speedup (the acceptance bar) on
 #: the canonical s15850 workload (k=7 blocks).  The legacy sweep is
@@ -79,41 +78,6 @@ from repro.core import (  # noqa: E402
 SPEEDUP_FLOOR = 3.0
 SMOKE_SPEEDUP_FLOOR = 2.0
 
-#: Maximum acceptable run-guard overhead on the evaluator path, in
-#: percent.  The guard's per-move cost is one local integer decrement
-#: (the clock is consulted once per ``check_interval`` moves), so the
-#: budget checks must stay within 2% of the unguarded path.  The smoke
-#: ceiling is looser because short CI traces amplify timer noise.
-GUARD_OVERHEAD_CEILING_PCT = 2.0
-SMOKE_GUARD_OVERHEAD_CEILING_PCT = 10.0
-
-#: Maximum acceptable metrics-on overhead on the evaluator path, in
-#: percent (the observability overhead contract, DESIGN.md).  The
-#: engines keep all metric accumulation off the evaluator-path window —
-#: per-move observations ride the selection path into pass-local
-#: variables and are flushed to the registry once per pass — so the
-#: metrics-on evaluator path must stay within 2% of metrics-off.
-METRICS_OVERHEAD_CEILING_PCT = 2.0
-SMOKE_METRICS_OVERHEAD_CEILING_PCT = 10.0
-
-#: Maximum acceptable wall-clock overhead of service observability
-#: (spans + metrics + journalled span ids) on the serve path, in
-#: percent.  Measured on sleep-dominated jobs so the number isolates
-#: the daemon-side bookkeeping from partitioning compute; the smoke
-#: ceiling is looser because short CI runs amplify scheduler-poll
-#: quantisation noise.
-SERVE_OBS_OVERHEAD_CEILING_PCT = 2.0
-SMOKE_SERVE_OBS_OVERHEAD_CEILING_PCT = 10.0
-
-#: Maximum acceptable wall-clock overhead of the sampling profiler at
-#: its default rate (97 Hz) on whole FPART runs, in percent.  The
-#: sampler never executes bytecode in the profiled thread — its cost is
-#: pure GIL contention from ~97 brief wakeups a second — so 2% is an
-#: honest production bound; the smoke ceiling is looser because smoke
-#: runs are short enough that a single scheduler hiccup is >2%.
-PROF_OVERHEAD_CEILING_PCT = 2.0
-SMOKE_PROF_OVERHEAD_CEILING_PCT = 10.0
-
 #: Minimum acceptable restart-portfolio wall-clock speedup at
 #: ``jobs=4`` vs ``jobs=1`` on the latency-dominated scaling workload
 #: (see :func:`bench_parallel_scaling` for why the workload is
@@ -121,57 +85,73 @@ SMOKE_PROF_OVERHEAD_CEILING_PCT = 10.0
 PARALLEL_SPEEDUP_FLOOR = 2.5
 SMOKE_PARALLEL_SPEEDUP_FLOOR = 1.8
 
-#: Canonical workloads: (circuit, device).  s15850/XC3042 is the
-#: largest Table 3 row exercised by default (M=7 ⇒ 42 directions).
-WORKLOADS: Tuple[Tuple[str, str], ...] = (
-    ("s9234", "XC3042"),
-    ("s15850", "XC3042"),
-)
-SMOKE_WORKLOADS: Tuple[Tuple[str, str], ...] = (("s9234", "XC3042"),)
+#: Maximum acceptable instrumentation overhead, in percent: the
+#: observability budget of DESIGN.md.  The smoke ceiling is looser
+#: because smoke workloads are short enough that one scheduler hiccup
+#: is more than 2%.
+OVERHEAD_CEILING_PCT = 2.0
+SMOKE_OVERHEAD_CEILING_PCT = 10.0
+
+#: On/off pairs per overhead arm.  Odd, so the median is one pair.
+OVERHEAD_PAIRS = 21
+SMOKE_OVERHEAD_PAIRS = 11
 
 
-def _time_run(circuit: str, device_name: str, incremental: bool):
-    hg = mcnc_circuit(circuit)
-    device = device_by_name(device_name)
-    config = FpartConfig()
-    evaluator = None
-    if not incremental:
-        evaluator = CostEvaluator(
-            device, config, device.lower_bound(hg), hg.num_terminals
-        )
-    start = time.perf_counter()
-    result = FpartPartitioner(hg, device, config, evaluator=evaluator).run()
-    elapsed = time.perf_counter() - start
-    return elapsed, result
+def paired_overhead(
+    off: Callable[[], float],
+    on: Callable[[], float],
+    pairs: int = OVERHEAD_PAIRS,
+) -> List[Tuple[float, float]]:
+    """``pairs`` timed ``(off, on)`` pairs, in alternating order.
+
+    Each arm returns the seconds of one measurement and builds its own
+    state.  Even pairs run off→on and odd pairs on→off, so a clock that
+    drifts across the run (a throttling host) biases neither arm.
+    """
+    timings = []
+    for i in range(pairs):
+        if i % 2:
+            t_on = on()
+            t_off = off()
+        else:
+            t_off = off()
+            t_on = on()
+        timings.append((t_off, t_on))
+    return timings
 
 
-def bench_whole_runs(workloads) -> List[Dict]:
-    rows: List[Dict] = []
-    for circuit, device_name in workloads:
-        t_inc, r_inc = _time_run(circuit, device_name, incremental=True)
-        t_full, r_full = _time_run(circuit, device_name, incremental=False)
-        identical = list(r_inc.assignment) == list(r_full.assignment)
-        rows.append(
-            {
-                "circuit": circuit,
-                "device": device_name,
-                "devices_used": r_inc.num_devices,
-                "wall_s_incremental": round(t_inc, 4),
-                "wall_s_full": round(t_full, 4),
-                "assignments_identical": identical,
-            }
-        )
-        print(
-            f"run {circuit}/{device_name}: "
-            f"incremental={t_inc:.2f}s full-sweep={t_full:.2f}s "
-            f"identical={identical}"
-        )
-        if not identical:
-            raise SystemExit(
-                f"FATAL: {circuit}/{device_name} diverged between "
-                "incremental and full-sweep cost modes"
-            )
-    return rows
+def overhead_verdict(
+    timings: Sequence[Tuple[float, float]], ceiling_pct: float
+) -> Dict:
+    """Summarise ``(off, on)`` pairs against an overhead ceiling.
+
+    A pair's overhead is ``on/off - 1``.  When the lower quartile is
+    over the ceiling, most pairs are over budget: ``fail``, however
+    wide the spread.  Otherwise the rule mirrors the e2e ``compare``:
+    a quartile spread wider than the ceiling cannot resolve it
+    (``unresolved``), a median over the ceiling is ``fail`` and
+    anything else ``pass``.
+    """
+    overheads = [(t_on / t_off - 1.0) * 100.0 for t_off, t_on in timings]
+    q1, median, q3 = statistics.quantiles(overheads, n=4, method="inclusive")
+    if q1 > ceiling_pct:
+        verdict = "fail"
+    elif q3 - q1 > ceiling_pct:
+        verdict = "unresolved"
+    elif median > ceiling_pct:
+        verdict = "fail"
+    else:
+        verdict = "pass"
+    return {
+        "pairs": len(timings),
+        "wall_s_off": round(statistics.median(t for t, _ in timings), 4),
+        "wall_s_on": round(statistics.median(t for _, t in timings), 4),
+        "median_pct": round(median, 2),
+        "q1_pct": round(q1, 2),
+        "q3_pct": round(q3, 2),
+        "ceiling_pct": ceiling_pct,
+        "verdict": verdict,
+    }
 
 
 def bench_evaluator_path(
@@ -189,9 +169,17 @@ def bench_evaluator_path(
     aggregates *and* the key, then the key cell is read.  Keys are
     verified bitwise equal move-for-move before anything is timed.
     """
-    hg, device, state, k, trace = replay_fixture(circuit, device_name, moves)
-    m = device.lower_bound(hg)
+    hg = mcnc_circuit(circuit)
+    device = device_by_name(device_name)
     config = FpartConfig()
+    result = fpart(hg, device, config=config)
+    k = result.num_devices
+    state = PartitionState(hg, result.assignment, k)
+    rng = random.Random(1999)
+    trace = [
+        (rng.randrange(hg.num_cells), rng.randrange(k)) for _ in range(moves)
+    ]
+    m = device.lower_bound(hg)
     baseline = state.assignment()
     perf_counter = time.perf_counter
 
@@ -204,7 +192,10 @@ def bench_evaluator_path(
 
     def reset() -> None:
         state.restore(baseline)
-        attach_untracked(inc, state)  # resync after the untracked restore
+        # Attach, then drop the listener: the loops call ``on_move``
+        # themselves, inside their timed window.
+        inc.attach(state)
+        state.remove_listener(inc)
         inc.set_remainder(0)
 
     reset()
@@ -244,7 +235,14 @@ def bench_evaluator_path(
             total += perf_counter() - start
         return total
 
-    t_legacy, t_inc = interleaved_min(legacy_loop, incremental_loop, reset)
+    # Min of three interleaved repeats: pairing cancels clock drift, and
+    # the minimum is the noise-rejecting aggregate for replay timings.
+    t_legacy = t_inc = float("inf")
+    for _ in range(3):
+        t_legacy = min(t_legacy, legacy_loop())
+        reset()
+        t_inc = min(t_inc, incremental_loop())
+        reset()
     inc.detach()
 
     t_inc = max(t_inc, 1e-9)
@@ -259,182 +257,13 @@ def bench_evaluator_path(
         "speedup": round(speedup, 2),
         "keys_identical": True,
         "floor": floor,
+        "verdict": "pass" if round(speedup, 2) >= floor else "fail",
     }
     print(
         f"evaluator path {circuit}/{device_name} (k={k}, {moves} moves): "
         f"full-sweep={row['per_move_us_full_sweep']}us/move "
         f"incremental={row['per_move_us_incremental']}us/move "
         f"speedup={speedup:.1f}x (floor {floor}x, keys identical)"
-    )
-    return row
-
-
-def bench_guard_overhead(
-    circuit: str = "s15850",
-    device_name: str = "XC3042",
-    moves: int = 20000,
-    ceiling_pct: float = GUARD_OVERHEAD_CEILING_PCT,
-) -> Dict:
-    """Run-guard lease protocol overhead on the incremental hot path.
-
-    Replays the evaluator-path move trace twice through the exact
-    per-move sequence the engines run — incremental refresh, key query,
-    then the guard's ``budget_left`` decrement with a periodic
-    ``lease()`` — once under the no-op :data:`NULL_GUARD` and once under
-    a real :class:`RunGuard` with live (but far-away) deadline and move
-    budgets.  The acceptance bar: the real guard must add less than
-    ``ceiling_pct`` percent.
-    """
-    hg, device, state, k, trace = replay_fixture(circuit, device_name, moves)
-    m = device.lower_bound(hg)
-    config = FpartConfig()
-    baseline = state.assignment()
-    perf_counter = time.perf_counter
-
-    inc = IncrementalCostEvaluator(device, config, m, hg.num_terminals)
-    attach_untracked(inc, state)
-
-    def loop(guard) -> float:
-        total = 0.0
-        budget_left = guard.lease()
-        for cell, to_block in trace:
-            from_block = state.block_of(cell)
-            state.move(cell, to_block)
-            start = perf_counter()
-            inc.on_move(from_block, to_block)
-            inc.current_key(0)
-            budget_left -= 1
-            if budget_left <= 0:
-                budget_left = guard.lease()
-            total += perf_counter() - start
-        guard.settle(budget_left)
-        return total
-
-    def live_guard() -> RunGuard:
-        # Real budgets, set far enough away that nothing trips: the
-        # timed work is the checking, not the tripping.
-        return RunGuard(
-            RunBudget(
-                deadline_seconds=3600.0,
-                max_moves=10**12,
-                check_interval=256,
-            )
-        ).start()
-
-    def reset() -> None:
-        state.restore(baseline)
-        attach_untracked(inc, state)
-
-    t_null, t_guarded = interleaved_min(
-        lambda: loop(NULL_GUARD), lambda: loop(live_guard()), reset,
-        repeats=5,
-    )
-    inc.detach()
-
-    overhead_pct = (t_guarded / max(t_null, 1e-9) - 1.0) * 100.0
-    row = {
-        "circuit": circuit,
-        "device": device_name,
-        "blocks": k,
-        "moves": moves,
-        "per_move_us_unguarded": round(t_null / moves * 1e6, 3),
-        "per_move_us_guarded": round(t_guarded / moves * 1e6, 3),
-        "overhead_pct": round(overhead_pct, 2),
-        "ceiling_pct": ceiling_pct,
-    }
-    print(
-        f"guard overhead {circuit}/{device_name} (k={k}, {moves} moves): "
-        f"unguarded={row['per_move_us_unguarded']}us/move "
-        f"guarded={row['per_move_us_guarded']}us/move "
-        f"overhead={overhead_pct:.2f}% (ceiling {ceiling_pct}%)"
-    )
-    return row
-
-
-def bench_metrics_overhead(
-    circuit: str = "s15850",
-    device_name: str = "XC3042",
-    moves: int = 20000,
-    ceiling_pct: float = METRICS_OVERHEAD_CEILING_PCT,
-) -> Dict:
-    """Metrics-on vs metrics-off cost of the evaluator-path window.
-
-    Replays the shared move trace through the exact per-move sequence
-    the instrumented Sanchis engine runs on the evaluator path:
-    incremental refresh, key query, the unconditional ``applied``
-    counter.  The metrics-on loop additionally charges the registry
-    flush (counter increment + histogram bucket merge) at every chunk
-    boundary *inside* the timed window — the engine flushes once per
-    pass in its ``finally`` clause, and real passes are usually longer
-    than a chunk, so this over-counts and bounds the production
-    overhead from above.  The per-move gain bucketing rides the
-    selection path (not timed here); the whole-run identity check in
-    the observability integration tests covers it.
-    """
-    from repro.obs import MetricsRegistry, NULL_METRICS
-    from repro.obs.metrics import GAIN_HIST_HI, GAIN_HIST_LO
-
-    hg, device, state, k, trace = replay_fixture(circuit, device_name, moves)
-    m = device.lower_bound(hg)
-    config = FpartConfig()
-    baseline = state.assignment()
-    perf_counter = time.perf_counter
-
-    inc = IncrementalCostEvaluator(device, config, m, hg.num_terminals)
-    attach_untracked(inc, state)
-
-    flush_every = 2048  # pass-boundary stand-in (conservative: real
-    # passes are usually longer, so real flushes are rarer)
-
-    def loop(metrics) -> float:
-        collect = metrics.enabled
-        ghist = [0] * (GAIN_HIST_HI - GAIN_HIST_LO)
-        applied = 0
-        total = 0.0
-        for chunk_start in range(0, len(trace), flush_every):
-            for cell, to_block in trace[chunk_start:chunk_start + flush_every]:
-                from_block = state.block_of(cell)
-                state.move(cell, to_block)
-                start = perf_counter()
-                inc.on_move(from_block, to_block)
-                inc.current_key(0)
-                applied += 1
-                total += perf_counter() - start
-            if collect:
-                start = perf_counter()
-                metrics.counter("sanchis.moves_tried").inc(flush_every)
-                metrics.histogram(
-                    "sanchis.gain1", GAIN_HIST_LO, GAIN_HIST_HI
-                ).add_buckets(ghist)
-                total += perf_counter() - start
-        return total
-
-    def reset() -> None:
-        state.restore(baseline)
-        attach_untracked(inc, state)
-
-    t_off, t_on = interleaved_min(
-        lambda: loop(NULL_METRICS), lambda: loop(MetricsRegistry()), reset,
-        repeats=5,
-    )
-    inc.detach()
-
-    overhead_pct = (t_on / max(t_off, 1e-9) - 1.0) * 100.0
-    row = {
-        "circuit": circuit,
-        "device": device_name,
-        "blocks": k,
-        "moves": moves,
-        "per_move_us_metrics_off": round(t_off / moves * 1e6, 3),
-        "per_move_us_metrics_on": round(t_on / moves * 1e6, 3),
-        "overhead_pct": round(overhead_pct, 2),
-        "ceiling_pct": ceiling_pct,
-    }
-    print(
-        f"metrics overhead {circuit}/{device_name} (k={k}, {moves} moves): "
-        f"off={row['per_move_us_metrics_off']}us/move "
-        f"on={row['per_move_us_metrics_on']}us/move "
-        f"overhead={overhead_pct:.2f}% (ceiling {ceiling_pct}%)"
     )
     return row
 
@@ -512,6 +341,7 @@ def bench_parallel_scaling(
         "winner_identical": identical,
         "speedup": round(speedup, 2),
         "floor": floor,
+        "verdict": "pass" if round(speedup, 2) >= floor else "fail",
     }
     print(
         f"parallel scaling {circuit}/{device_name} "
@@ -522,175 +352,139 @@ def bench_parallel_scaling(
     return row
 
 
-def bench_serve_obs_overhead(
-    jobs_count: int = 6,
-    sleep_s: float = 0.2,
-    workers: int = 2,
-    repeats: int = 2,
-    ceiling_pct: float = SERVE_OBS_OVERHEAD_CEILING_PCT,
-) -> Dict:
-    """Wall-clock cost of serve-side observability: obs on vs obs off.
+def _run_arm(circuit: str, device_name: str, root: Path):
+    """``(off, on)`` timings of whole FPART runs.
 
-    Runs the same batch of sleep-dominated jobs (the fault-injection
-    ``test_sleep_seconds`` seam, so no partitioning compute muddies the
-    measurement) through two in-process :class:`PartitionService`
-    instances — one with spans/metrics enabled, one with
-    ``obs_enabled=False`` — and reports the relative overhead of the
-    instrumented arm.  Each arm takes the best of ``repeats`` interleaved
-    runs to shave scheduler-poll jitter.  Jobs are submitted with
-    ``force=True`` so dedup never short-circuits the later arm.
+    Off runs under :data:`NULL_GUARD` with no telemetry.  On runs under
+    the default :class:`~repro.core.RunGuard` with a metrics registry,
+    a trace writer at default sampling, a heartbeat and the sampling
+    profiler at its default rate — every instrument a run can carry.
     """
-    import shutil
-    import tempfile
-
-    from repro.circuits import generate_circuit
-    from repro.hypergraph.io import write_hgr
-    from repro.serve import PartitionService, ServiceConfig
-
-    def run_batch(obs_enabled: bool) -> float:
-        root = Path(tempfile.mkdtemp(prefix="fpart-obs-bench-"))
-        try:
-            netlist = root / "bench.hgr"
-            write_hgr(
-                generate_circuit(
-                    "obsbench", num_cells=60, num_ios=10, seed=3
-                ),
-                netlist,
-            )
-            service = PartitionService(
-                ServiceConfig(
-                    state_dir=str(root / "state"),
-                    jobs=workers,
-                    allow_test_hooks=True,
-                    obs_enabled=obs_enabled,
-                )
-            ).start()
-            try:
-                start = time.perf_counter()
-                ids = []
-                for i in range(jobs_count):
-                    response = service.submit(
-                        {
-                            "netlist": str(netlist),
-                            "config": {
-                                "test_sleep_seconds": sleep_s,
-                                "seed": i + 1,
-                            },
-                        },
-                        force=True,
-                    )
-                    assert response["status"] == 201, response
-                    ids.append(response["job"]["job_id"])
-                terminal = {"done", "degraded", "failed", "cancelled"}
-                while any(
-                    service.job(job_id)["job"]["state"] not in terminal
-                    for job_id in ids
-                ):
-                    time.sleep(0.01)
-                return time.perf_counter() - start
-            finally:
-                service.close()
-        finally:
-            shutil.rmtree(root, ignore_errors=True)
-
-    wall_off, wall_on = interleaved_min(
-        lambda: run_batch(obs_enabled=False),
-        lambda: run_batch(obs_enabled=True),
-        repeats=repeats,
-    )
-    overhead_pct = (wall_on - wall_off) / wall_off * 100.0
-    row = {
-        "jobs": jobs_count,
-        "sleep_s": sleep_s,
-        "workers": workers,
-        "repeats": repeats,
-        "wall_s_obs_off": round(wall_off, 3),
-        "wall_s_obs_on": round(wall_on, 3),
-        "overhead_pct": round(overhead_pct, 2),
-        "ceiling_pct": ceiling_pct,
-    }
-    print(
-        f"serve obs overhead ({jobs_count} jobs x {sleep_s * 1e3:.0f}ms, "
-        f"{workers} workers): off {wall_off:.3f}s on {wall_on:.3f}s "
-        f"overhead={overhead_pct:+.2f}% (ceiling {ceiling_pct}%)"
-    )
-    return row
-
-
-def bench_prof_overhead(
-    circuit: str = "s15850",
-    device_name: str = "XC3042",
-    repeats: int = 3,
-    ceiling_pct: float = PROF_OVERHEAD_CEILING_PCT,
-) -> Dict:
-    """Sampling-profiler overhead on whole FPART runs, on vs off.
-
-    Runs the same workload ``repeats`` times per arm, interleaved — once
-    plain, once under a live :class:`~repro.obs.prof.SamplingProfiler`
-    at the default 97 Hz — taking the best wall of each arm (the
-    standard best-of-N noise shave for whole-run timing).  Every run's
-    assignment is compared bit-for-bit against the first plain run's:
-    the profiler observes frames from another thread and must never
-    perturb the result.  The acceptance bar is ``ceiling_pct`` percent
-    relative overhead.
-    """
-    from repro.obs.prof import PROF_DEFAULT_HZ, SamplingProfiler
+    from repro.obs import HeartbeatEmitter, MetricsRegistry, TraceWriter
+    from repro.obs.prof import SamplingProfiler
 
     hg = mcnc_circuit(circuit)
     device = device_by_name(device_name)
     config = FpartConfig()
-
     assignments = []
-    profiled_runs = []  # (wall, samples) of every profiled run
 
-    def run_once(profiled: bool) -> float:
-        sampler = SamplingProfiler().start() if profiled else None
-        try:
-            start = time.perf_counter()
-            result = fpart(hg, device, config=config)
-            elapsed = time.perf_counter() - start
-        finally:
-            if sampler is not None:
-                sampler.stop()
-        if sampler is not None:
-            profiled_runs.append((elapsed, sampler.samples))
+    def timed(instrumented: bool) -> float:
+        start = time.perf_counter()
+        if instrumented:
+            tracer = TraceWriter(root / "trace.jsonl", run_id="bench")
+            with SamplingProfiler():
+                result = FpartPartitioner(
+                    hg, device, config, metrics=MetricsRegistry(),
+                    tracer=tracer, heartbeat=HeartbeatEmitter(tracer),
+                ).run()
+            tracer.close()
+        else:
+            result = FpartPartitioner(
+                hg, device, config, guard=NULL_GUARD
+            ).run()
+        elapsed = time.perf_counter() - start
         assignments.append(list(result.assignment))
+        if assignments[-1] != assignments[0]:
+            raise SystemExit(
+                f"FATAL: {circuit}/{device_name} assignment diverged "
+                "between instrumented and plain runs — observing a run "
+                "must never change it"
+            )
         return elapsed
 
-    wall_off, wall_on = interleaved_min(
-        lambda: run_once(profiled=False),
-        lambda: run_once(profiled=True),
-        repeats=repeats,
-    )
-    samples = min(profiled_runs)[1]
-    identical = all(a == assignments[0] for a in assignments)
-    if not identical:
-        raise SystemExit(
-            f"FATAL: {circuit}/{device_name} assignment diverged under "
-            "the sampling profiler — the profiler must be a pure observer"
-        )
+    return lambda: timed(False), lambda: timed(True)
 
-    overhead_pct = (wall_on / max(wall_off, 1e-9) - 1.0) * 100.0
-    row = {
-        "circuit": circuit,
-        "device": device_name,
-        "hz": PROF_DEFAULT_HZ,
-        "repeats": repeats,
-        "samples_best_run": samples,
-        "wall_s_prof_off": round(wall_off, 4),
-        "wall_s_prof_on": round(wall_on, 4),
-        "assignments_identical": identical,
-        "overhead_pct": round(overhead_pct, 2),
-        "ceiling_pct": ceiling_pct,
-    }
-    print(
-        f"prof overhead {circuit}/{device_name} "
-        f"({PROF_DEFAULT_HZ} Hz, best of {repeats}): "
-        f"off={wall_off:.2f}s on={wall_on:.2f}s "
-        f"({samples} samples) overhead={overhead_pct:+.2f}% "
-        f"(ceiling {ceiling_pct}%, identical={identical})"
+
+def _serve_arm(jobs: int, sleep_s: float, root: Path):
+    """``(off, on)`` walls of one sleep-job batch through the service.
+
+    The jobs sleep through the ``test_sleep_seconds`` seam, so no
+    partitioning compute muddies the daemon-side bookkeeping the arm
+    times; ``force=True`` keeps dedup from short-circuiting a batch.
+    Each batch gets a fresh service and state directory.
+    """
+    from repro.circuits import generate_circuit
+    from repro.hypergraph.io import write_hgr
+    from repro.serve import TERMINAL_STATES, PartitionService, ServiceConfig
+
+    netlist = root / "bench.hgr"
+    write_hgr(
+        generate_circuit("obsbench", num_cells=60, num_ios=10, seed=3),
+        netlist,
     )
-    return row
+
+    def batch(obs_enabled: bool) -> float:
+        service = PartitionService(
+            ServiceConfig(
+                state_dir=tempfile.mkdtemp(dir=root),
+                jobs=2,
+                allow_test_hooks=True,
+                obs_enabled=obs_enabled,
+            )
+        ).start()
+        try:
+            start = time.perf_counter()
+            ids = []
+            for i in range(jobs):
+                config = {"test_sleep_seconds": sleep_s, "seed": i + 1}
+                response = service.submit(
+                    {"netlist": str(netlist), "config": config}, force=True
+                )
+                if response["status"] != 201:
+                    raise SystemExit(f"FATAL: serve submit: {response}")
+                ids.append(response["job"]["job_id"])
+
+            def states():
+                return [service.job(i)["job"]["state"] for i in ids]
+
+            service.wait_for(lambda: TERMINAL_STATES.issuperset(states()), 60)
+            elapsed = time.perf_counter() - start
+            if set(states()) != {"done"}:
+                raise SystemExit(f"FATAL: serve batch ended {states()}")
+            return elapsed
+        finally:
+            service.close()
+
+    return lambda: batch(False), lambda: batch(True)
+
+
+def bench_instrumentation_overhead(
+    circuit: str = "s15850",
+    device_name: str = "XC3042",
+    serve_jobs: int = 6,
+    sleep_s: float = 0.2,
+    pairs: int = OVERHEAD_PAIRS,
+    ceiling_pct: float = OVERHEAD_CEILING_PCT,
+) -> List[Dict]:
+    """Every instrument on vs off, one row per arm (``run``, ``serve``).
+
+    Both arms are timed by :func:`paired_overhead` and judged by
+    :func:`overhead_verdict` against the same ceiling.
+    """
+    arms = []
+    with tempfile.TemporaryDirectory(prefix="fpart-perf-") as tmp:
+        root = Path(tmp)
+        for arm, workload, (off, on) in (
+            ("run", f"{circuit}/{device_name}",
+             _run_arm(circuit, device_name, root)),
+            ("serve", f"{serve_jobs} jobs x {sleep_s * 1e3:.0f} ms, 2 workers",
+             _serve_arm(serve_jobs, sleep_s, root)),
+        ):
+            row = {
+                "arm": arm,
+                "workload": workload,
+                **overhead_verdict(paired_overhead(off, on, pairs=pairs),
+                                   ceiling_pct),
+            }
+            print(
+                f"instrumentation overhead, {arm} arm ({workload}, "
+                f"{pairs} pairs): off {row['wall_s_off']}s "
+                f"on {row['wall_s_on']}s median {row['median_pct']:+.2f}% "
+                f"[{row['q1_pct']:+.2f}%, {row['q3_pct']:+.2f}%] "
+                f"(ceiling {ceiling_pct}%) -> {row['verdict']}"
+            )
+            arms.append(row)
+    return arms
 
 
 def main(argv=None) -> int:
@@ -698,7 +492,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="small workload set for CI (s9234 only, shorter trace)",
+        help="small workloads for CI (s9234, shorter trace, fewer pairs)",
     )
     parser.add_argument(
         "--output",
@@ -706,118 +500,54 @@ def main(argv=None) -> int:
         help="where to write the JSON report",
     )
     args = parser.parse_args(argv)
+    smoke = args.smoke
 
-    workloads = SMOKE_WORKLOADS if args.smoke else WORKLOADS
-    moves = 4000 if args.smoke else 20000
-    floor = SMOKE_SPEEDUP_FLOOR if args.smoke else SPEEDUP_FLOOR
-    guard_ceiling = (
-        SMOKE_GUARD_OVERHEAD_CEILING_PCT
-        if args.smoke
-        else GUARD_OVERHEAD_CEILING_PCT
-    )
-    metrics_ceiling = (
-        SMOKE_METRICS_OVERHEAD_CEILING_PCT
-        if args.smoke
-        else METRICS_OVERHEAD_CEILING_PCT
-    )
-    eval_circuit = workloads[-1][0]
-
-    runs = bench_whole_runs(workloads)
+    circuit = "s9234" if smoke else "s15850"
     evaluator = bench_evaluator_path(
-        eval_circuit, "XC3042", moves=moves, floor=floor
+        circuit, "XC3042",
+        moves=4000 if smoke else 20000,
+        floor=SMOKE_SPEEDUP_FLOOR if smoke else SPEEDUP_FLOOR,
     )
-    guard = bench_guard_overhead(
-        eval_circuit, "XC3042", moves=moves, ceiling_pct=guard_ceiling
+    parallel = bench_parallel_scaling(
+        delay_s=0.025 if smoke else 0.06,
+        floor=(
+            SMOKE_PARALLEL_SPEEDUP_FLOOR if smoke else PARALLEL_SPEEDUP_FLOOR
+        ),
     )
-    metrics_row = bench_metrics_overhead(
-        eval_circuit, "XC3042", moves=moves, ceiling_pct=metrics_ceiling
-    )
-    parallel_floor = (
-        SMOKE_PARALLEL_SPEEDUP_FLOOR if args.smoke else PARALLEL_SPEEDUP_FLOOR
-    )
-    parallel_row = bench_parallel_scaling(
-        delay_s=0.025 if args.smoke else 0.06,
-        floor=parallel_floor,
-    )
-    serve_obs_ceiling = (
-        SMOKE_SERVE_OBS_OVERHEAD_CEILING_PCT
-        if args.smoke
-        else SERVE_OBS_OVERHEAD_CEILING_PCT
-    )
-    serve_obs_row = bench_serve_obs_overhead(
-        jobs_count=4 if args.smoke else 6,
-        sleep_s=0.15 if args.smoke else 0.2,
-        ceiling_pct=serve_obs_ceiling,
-    )
-    prof_ceiling = (
-        SMOKE_PROF_OVERHEAD_CEILING_PCT
-        if args.smoke
-        else PROF_OVERHEAD_CEILING_PCT
-    )
-    prof_row = bench_prof_overhead(
-        eval_circuit,
-        "XC3042",
-        repeats=2 if args.smoke else 3,
-        ceiling_pct=prof_ceiling,
+    overhead = bench_instrumentation_overhead(
+        circuit, "XC3042",
+        serve_jobs=4 if smoke else 6,
+        sleep_s=0.15 if smoke else 0.2,
+        pairs=SMOKE_OVERHEAD_PAIRS if smoke else OVERHEAD_PAIRS,
+        ceiling_pct=(
+            SMOKE_OVERHEAD_CEILING_PCT if smoke else OVERHEAD_CEILING_PCT
+        ),
     )
 
     report = {
-        "schema": 10,
+        "schema": 11,
         "generated_utc": time.strftime(
             "%Y-%m-%dT%H:%M:%SZ", time.gmtime()
         ),
         "python": platform.python_version(),
-        "mode": "smoke" if args.smoke else "full",
-        "speedup_floor": floor,
-        "whole_runs": runs,
+        "mode": "smoke" if smoke else "full",
         "evaluator_path": evaluator,
-        "guard_overhead": guard,
-        "metrics_overhead": metrics_row,
-        "parallel_scaling": parallel_row,
-        "serve_obs_overhead": serve_obs_row,
-        "prof_overhead": prof_row,
+        "parallel_scaling": parallel,
+        "instrumentation_overhead": overhead,
     }
     out = Path(args.output)
     out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     print(f"report written to {out}")
 
+    gates = [("evaluator_path", evaluator), ("parallel_scaling", parallel)]
+    gates += [
+        (f"instrumentation_overhead {row['arm']} arm", row) for row in overhead
+    ]
     failed = False
-    if evaluator["speedup"] < floor:
-        print(
-            f"FAIL: evaluator-path speedup {evaluator['speedup']}x is "
-            f"below the {floor}x floor"
-        )
-        failed = True
-    if guard["overhead_pct"] > guard_ceiling:
-        print(
-            f"FAIL: guard overhead {guard['overhead_pct']}% exceeds "
-            f"the {guard_ceiling}% ceiling"
-        )
-        failed = True
-    if metrics_row["overhead_pct"] > metrics_ceiling:
-        print(
-            f"FAIL: metrics overhead {metrics_row['overhead_pct']}% exceeds "
-            f"the {metrics_ceiling}% ceiling"
-        )
-        failed = True
-    if parallel_row["speedup"] < parallel_floor:
-        print(
-            f"FAIL: parallel-restart speedup {parallel_row['speedup']}x "
-            f"is below the {parallel_floor}x floor"
-        )
-        failed = True
-    if serve_obs_row["overhead_pct"] > serve_obs_ceiling:
-        print(
-            f"FAIL: serve obs overhead {serve_obs_row['overhead_pct']}% "
-            f"exceeds the {serve_obs_ceiling}% ceiling"
-        )
-        failed = True
-    if prof_row["overhead_pct"] > prof_ceiling:
-        print(
-            f"FAIL: profiler overhead {prof_row['overhead_pct']}% "
-            f"exceeds the {prof_ceiling}% ceiling"
-        )
-        failed = True
+    for name, row in gates:
+        if row["verdict"] != "pass":
+            print(f"{row['verdict'].upper()}: {name}")
+        failed = failed or row["verdict"] == "fail"
     return 1 if failed else 0
 
 

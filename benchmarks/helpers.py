@@ -18,9 +18,8 @@ Environment knob (see DESIGN.md section 4):
 from __future__ import annotations
 
 import os
-import random
 from pathlib import Path
-from typing import Callable, List, Sequence, Tuple
+from typing import Tuple
 
 from repro.circuits import (
     COMBINATIONAL_CIRCUITS,
@@ -67,74 +66,3 @@ def run_once(benchmark, fn):
     """Run ``fn`` exactly once under pytest-benchmark timing."""
     return benchmark.pedantic(fn, rounds=1, iterations=1)
 
-
-# ----------------------------------------------------------------------
-# Perf-regression bench plumbing (shared by bench_perf_regression.py)
-# ----------------------------------------------------------------------
-
-def replay_fixture(
-    circuit: str,
-    device_name: str,
-    moves: int,
-    seed: int = 1999,
-):
-    """A real mid-run partition state plus a recorded random move trace.
-
-    Runs FPART once on ``circuit``/``device_name`` and rebuilds its final
-    assignment as a fresh state, so every bench case times the same
-    workload shape (``k`` matches a real run).
-    Returns ``(hg, device, state, k, trace)`` with ``trace`` a list of
-    ``(cell, to_block)`` pairs drawn from a fixed-seed RNG.
-    """
-    from repro.circuits import mcnc_circuit
-    from repro.core import FpartConfig, device_by_name, fpart
-    from repro.partition import PartitionState
-
-    hg = mcnc_circuit(circuit)
-    device = device_by_name(device_name)
-    result = fpart(hg, device, config=FpartConfig())
-    k = result.num_devices
-    state = PartitionState(hg, result.assignment, k)
-    rng = random.Random(seed)
-    trace = [
-        (rng.randrange(hg.num_cells), rng.randrange(k)) for _ in range(moves)
-    ]
-    return hg, device, state, k, trace
-
-
-def attach_untracked(evaluator, state) -> None:
-    """Attach an incremental evaluator but drive it by hand.
-
-    The listener registration is removed again so ``state.move()`` does
-    not notify the evaluator: the bench calls ``on_move`` itself inside
-    its timed window (production rides the listener; the work is the
-    same, this just makes it timeable).
-    """
-    evaluator.attach(state)
-    state.remove_listener(evaluator)
-
-
-def interleaved_min(
-    arm_a: Callable[[], float],
-    arm_b: Callable[[], float],
-    reset: Callable[[], None] = lambda: None,
-    repeats: int = 3,
-) -> Tuple[float, float]:
-    """Min-of-``repeats`` of two timed arms, run A, B, A, B, ...
-
-    Each arm returns the seconds of one measurement; ``reset()``
-    restores the fixture after every arm call.  The arms are
-    interleaved repeat-by-repeat rather than measured as two blocks:
-    the harness runs whole-circuit benches for tens of seconds before
-    the overhead cases, and on throttling hosts the clock drifts
-    monotonically — a blocked A/A/A/B/B/B order then biases whichever
-    arm runs second.  Pairing cancels the drift; the minimum is the
-    standard noise-rejecting aggregate for replay-style benchmarks.
-    """
-    best_a = best_b = float("inf")
-    for _ in range(repeats):
-        best_a = min(best_a, arm_a())
-        reset()
-        best_b = min(best_b, arm_b())
-        reset()
-    return best_a, best_b

@@ -76,17 +76,18 @@ _BASELINES: Dict[str, Callable] = {
 MEASURED_METHODS: Tuple[str, ...] = ("FPART", *_BASELINES)
 
 
+def _device_circuits(device: str) -> Tuple[str, ...]:
+    """Every circuit of one device's table (Table 5 is combinational)."""
+    return COMBINATIONAL_CIRCUITS if device.upper() == "XC2064" else MCNC_NAMES
+
+
 def selected_circuits(device: str) -> Tuple[str, ...]:
     """Benchmark circuits for one device.
 
     Small-by-default (DESIGN.md section 4); ``REPRO_FULL=1`` adds the
     four large circuits.
     """
-    base = (
-        COMBINATIONAL_CIRCUITS
-        if device.upper() == "XC2064"
-        else MCNC_NAMES
-    )
+    base = _device_circuits(device)
     if os.environ.get("REPRO_FULL"):
         return base
     return tuple(c for c in base if c not in LARGE_CIRCUITS)
@@ -255,12 +256,23 @@ def run_device_experiment(
     serial circuit × method order, so the sweep output is independent
     of worker count and completion order; a worker that crashes or
     times out degrades to a ``failed`` record like any other broken
-    cell.
+    cell.  An unknown method or circuit raises :class:`ValueError`
+    before any cell runs.
     """
     if circuits is None:
         circuits = selected_circuits(device_name)
     if methods is None:
         methods = MEASURED_METHODS
+    for kind, names, valid in (
+        ("method", methods, MEASURED_METHODS),
+        ("circuit", circuits, _device_circuits(device_name)),
+    ):
+        unknown = [n for n in names if n not in valid]
+        if unknown:
+            raise ValueError(
+                f"unknown {kind} for {device_name}: {', '.join(unknown)} "
+                f"(valid: {', '.join(valid)})"
+            )
     cells = [(c, m) for c in circuits for m in methods]
     if jobs > 1:
         return _run_sharded(cells, device_name, config, retries, runs_dir, jobs)

@@ -29,7 +29,7 @@ Inner loops run::
 the deadline and the move cap, and grants up to ``check_interval`` more
 moves (fewer when the cap is closer).  The clock is therefore consulted
 at most once per ``check_interval`` applied moves, which keeps the
-guard's overhead on the evaluator path under the 2% bar enforced by
+guard within the 2% instrumentation budget measured on whole runs by
 ``benchmarks/bench_perf_regression.py``.
 
 Exhaustion raises :class:`~repro.core.exceptions.BudgetExhaustedError`

@@ -12,9 +12,9 @@ in order:
    record path is O(1): a counter increment, a gauge store, a clamped
    list-index increment for histograms.  The engines additionally batch
    per-move observations in local variables and flush once per pass (see
-   ``sanchis/engine.py``), which is what keeps the metrics-on evaluator
-   path within the 2% overhead ceiling enforced by
-   ``benchmarks/bench_perf_regression.py``.
+   ``sanchis/engine.py``), which is what keeps metrics-on runs within
+   the 2% instrumentation budget that the ``instrumentation_overhead``
+   case of ``benchmarks/bench_perf_regression.py`` measures.
 3. **Deterministic output.**  :meth:`MetricsRegistry.snapshot` sorts
    every instrument by name so dumps diff cleanly across runs.
 

@@ -11,9 +11,9 @@ shape being measured.  Design constraints, in order:
 1. **Zero interference with the solve.**  The profiled thread executes
    no extra bytecode; the sampler only *reads* frames from another
    thread.  Assignments are therefore bit-identical with profiling on
-   (asserted by the ``prof_overhead`` bench case), and the overhead at
-   the default rate is GIL-contention only — measured well under the
-   repo's 2% ceiling.
+   (asserted by the ``run`` arm of the ``instrumentation_overhead``
+   bench case), and the overhead at the default rate is GIL-contention
+   only.
 2. **Deterministic output.**  Samples aggregate into a dict keyed by the
    frame-label tuple; :meth:`SamplingProfiler.folded` sorts stacks
    lexicographically, so two dumps of the same aggregation are

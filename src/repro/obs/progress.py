@@ -13,7 +13,8 @@ The emitter only *reads* guard counters and the driver's best-so-far
 cost, so enabling progress cannot change the search (the bit-identical
 instrumented-run contract of DESIGN.md §7 covers it).  Rate limiting
 happens inside the tick callback with one monotonic clock read per
-lease, far below the 2% evaluator-path overhead ceiling.
+lease, within the 2% instrumentation budget measured on whole runs by
+``benchmarks/bench_perf_regression.py``.
 """
 
 from __future__ import annotations

@@ -23,17 +23,17 @@ hard per-task timeout are clamped to
 :meth:`RunGuard.remaining_seconds`, so the cooperative (in-worker) and
 pre-emptive (pool) enforcement layers promise the same wall clock.
 
-When a ``runs_dir`` is given every restart records **itself** into the
-shared :class:`~repro.obs.runstore.RunStore` from inside its worker
-process (run id ``<portfolio>r<i>``, labels carrying the portfolio id,
-restart index and seed) — which is exactly the concurrent-writer
-pattern the store's index lock exists for.
+With a ``runs_dir`` every restart runs under a fresh metrics registry
+and records **itself**, snapshot included, into the shared
+:class:`~repro.obs.runstore.RunStore` from its worker process (run id
+``<portfolio>r<i>``, labels carrying the portfolio id, restart index
+and seed) — the concurrent-writer pattern the store's index lock is for.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from ..core.config import FpartConfig
@@ -98,10 +98,6 @@ class PortfolioResult:
     restarts: int
     jobs: int
     portfolio_id: str
-    metrics_snapshots: List[Dict] = field(default_factory=list)
-    """Per-restart registry snapshots (submission order) when metrics
-    collection was requested — mergeable via
-    :meth:`MetricsRegistry.merge`."""
 
     @property
     def survivors(self) -> int:
@@ -117,7 +113,6 @@ def _restart_worker(
     runs_dir: Optional[str],
     portfolio_id: str,
     index: int,
-    collect_metrics: bool,
     fault_plan: Optional[Any],
 ) -> Dict[str, Any]:
     """One restart, executed inside a pool worker (or inline).
@@ -129,7 +124,7 @@ def _restart_worker(
     from ..obs.metrics import NULL_METRICS, MetricsRegistry
 
     config = dataclasses.replace(config, seed=seed)
-    metrics = MetricsRegistry() if collect_metrics else NULL_METRICS
+    metrics = MetricsRegistry() if runs_dir is not None else NULL_METRICS
     evaluator = None
     if fault_plan is not None:
         from ..core.cost import make_evaluator
@@ -150,7 +145,6 @@ def _restart_worker(
         run_id=run_id,
         metrics=metrics,
     ).run()
-    snapshot = metrics.snapshot() if collect_metrics else None
     if runs_dir is not None:
         from ..obs.runstore import RunRecord, RunStore
 
@@ -165,9 +159,9 @@ def _restart_worker(
                     "seed": str(seed),
                 },
             ),
-            metrics=snapshot,
+            metrics=metrics.snapshot(),
         )
-    return {"result": result, "metrics": snapshot}
+    return {"result": result}
 
 
 def _worker_deadline(
@@ -191,7 +185,6 @@ def run_restarts(
     timeout_seconds: Optional[float] = None,
     guard: Optional[RunGuard] = None,
     fault_plans: Optional[Dict[int, Any]] = None,
-    collect_metrics: bool = False,
     portfolio_id: Optional[str] = None,
 ) -> PortfolioResult:
     """Run a seeded restart portfolio and reduce it deterministically.
@@ -241,7 +234,6 @@ def run_restarts(
                 "runs_dir": runs_dir,
                 "portfolio_id": portfolio_id,
                 "index": i,
-                "collect_metrics": collect_metrics,
                 "fault_plan": (fault_plans or {}).get(i),
             },
             label=f"restart {i} (seed {seeds[i]})",
@@ -268,7 +260,6 @@ def reduce_portfolio(
     """
     reports: List[RestartReport] = []
     candidates: List[Candidate] = []
-    snapshots: List[Dict] = []
     for outcome in sorted(outcomes, key=lambda o: o.index):
         i = outcome.index
         if outcome.ok:
@@ -298,8 +289,6 @@ def reduce_portfolio(
                     value=result,
                 )
             )
-            if outcome.value.get("metrics") is not None:
-                snapshots.append(outcome.value["metrics"])
         else:
             reports.append(
                 RestartReport(
@@ -320,7 +309,6 @@ def reduce_portfolio(
             restarts=len(outcomes),
             jobs=jobs,
             portfolio_id=portfolio_id,
-            metrics_snapshots=snapshots,
         )
     best = reduce_candidates(candidates)
     status = "complete" if len(candidates) == len(outcomes) else "partial"
@@ -332,5 +320,4 @@ def reduce_portfolio(
         restarts=len(outcomes),
         jobs=jobs,
         portfolio_id=portfolio_id,
-        metrics_snapshots=snapshots,
     )

@@ -210,8 +210,8 @@ class SanchisEngine:
         # tracer per move.  Observations accumulate in pass-local
         # variables — on the selection path, never inside the
         # move-apply/evaluate window — and are flushed once in the
-        # finally clause, which is what keeps metrics-on within the 2%
-        # evaluator-path ceiling (see benchmarks/bench_perf_regression).
+        # finally clause, which keeps metrics-on within the 2%
+        # instrumentation budget (benchmarks/bench_perf_regression).
         metrics = self.metrics
         collect = metrics.enabled
         tracer = self.tracer

@@ -134,8 +134,8 @@ class ServiceConfig:
 
     Off swaps in :data:`~repro.obs.metrics.NULL_METRICS` and
     :data:`~repro.obs.trace.NULL_TRACE` (``/metrics`` then serves an
-    empty-but-valid document) — the knob the ``serve_obs_overhead``
-    bench compares against."""
+    empty-but-valid document) — the knob the ``serve`` arm of the
+    ``instrumentation_overhead`` bench case compares against."""
     prof_slow_ms: Optional[float] = None
     """Profile-on-slow threshold in milliseconds (``None`` = off).
 

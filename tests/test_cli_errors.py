@@ -68,6 +68,23 @@ class TestExitCodes:
         assert code in (65, 66)  # read_assignment_file raises ValueError/OSError
         assert "fpart: error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args, unknown, valid",
+        [
+            (["--circuits", "c3540", "--methods", "bogus"], "bogus",
+             "BFS-pack"),
+            (["--circuits", "nosuch"], "nosuch", "s9234"),
+        ],
+    )
+    def test_table_unknown_name_is_65(
+        self, args, unknown, valid, capsys
+    ):
+        code = main(["table", "XC3042", *args])
+        assert code == 65
+        captured = capsys.readouterr()
+        assert captured.out == ""  # rejected before any cell ran
+        assert unknown in captured.err and valid in captured.err
+
 
 class TestGuardFlags:
     def test_budget_exhaustion_exits_3(self, netlist_file, capsys):

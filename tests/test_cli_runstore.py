@@ -264,6 +264,26 @@ class TestReportFromRuns:
         ) == 65
         assert "no run" in capsys.readouterr().err
 
+    def test_restart_runs_carry_metrics(self, netlist_file, tmp_path, capsys):
+        runs_dir = tmp_path / "runs"
+        assert _partition_into_store(
+            netlist_file, runs_dir, "--restarts", "2"
+        ) == 0
+        restarts = RunStore(runs_dir).records()
+        assert len(restarts) == 2
+        for record in restarts:
+            assert main(
+                ["report", "--phases", "--from-runs", str(runs_dir),
+                 record.run_id]
+            ) == 0
+            assert "attributed:" in capsys.readouterr().out
+            out = tmp_path / f"{record.run_id}.prom"
+            assert main(
+                ["export", "--runs-dir", str(runs_dir), record.run_id,
+                 "--openmetrics", str(out)]
+            ) == 0
+            assert validate_openmetrics(out.read_text()) == []
+
 
 class TestExperimentRunsDir:
     def test_run_method_records_sweep_cells(self, tmp_path):

@@ -15,11 +15,13 @@ import random
 
 import pytest
 
-from repro.circuits import generate_circuit
+from repro.circuits import generate_circuit, mcnc_circuit
 from repro.core import (
+    XC3042,
     CostEvaluator,
     Device,
     FpartConfig,
+    FpartPartitioner,
     IncrementalCostEvaluator,
     make_evaluator,
 )
@@ -186,3 +188,17 @@ def test_detach_falls_back_to_sweep() -> None:
     assert inc.cost_of(state, 0) == cost_attached
     with pytest.raises(RuntimeError):
         inc.current_cost(0)
+
+
+def test_whole_run_full_sweep_matches_default() -> None:
+    """A whole FPART run with the full-sweep evaluator injected lands on
+    the default (incremental) run's assignment."""
+    hg = mcnc_circuit("s9234")
+    config = FpartConfig()
+    full_sweep = CostEvaluator(
+        XC3042, config, XC3042.lower_bound(hg), hg.num_terminals
+    )
+    swept = FpartPartitioner(hg, XC3042, config, evaluator=full_sweep).run()
+    default = FpartPartitioner(hg, XC3042, config).run()
+    assert swept.num_devices == default.num_devices
+    assert list(swept.assignment) == list(default.assignment)

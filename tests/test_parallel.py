@@ -300,9 +300,7 @@ class TestPortfolioInvariance:
             TaskOutcome(
                 index=i,
                 status=status,
-                value={"result": result, "metrics": None}
-                if status == "ok"
-                else None,
+                value={"result": result} if status == "ok" else None,
                 error=None if status == "ok" else status,
             )
             for i, (status, result) in enumerate(shapes)
@@ -445,22 +443,23 @@ class TestRunRestarts:
                     "budget_exhausted", "semi_feasible", "feasible", "ok"
                 )
 
-    def test_metrics_snapshots_merge(self, circuit, device):
+    def test_metrics_snapshots_merge(self, circuit, device, tmp_path):
+        # A run store implies metrics: every restart records a snapshot.
+        runs_dir = str(tmp_path / "runs")
         portfolio = run_restarts(
-            circuit,
-            device,
-            FpartConfig(),
-            restarts=2,
-            jobs=2,
-            collect_metrics=True,
+            circuit, device, FpartConfig(), restarts=2, jobs=2,
+            runs_dir=runs_dir,
         )
-        assert len(portfolio.metrics_snapshots) == 2
+        store = RunStore(runs_dir)
+        snapshots = [store.metrics_of(r.run_id) for r in portfolio.reports]
+        assert len(snapshots) == 2
+        assert all(s and s["counters"] for s in snapshots)
         merged = MetricsRegistry()
-        for snapshot in portfolio.metrics_snapshots:
+        for snapshot in snapshots:
             merged.merge(snapshot)
         assert (
             merged.snapshot()["counters"]
-            == merge_snapshots(portfolio.metrics_snapshots)["counters"]
+            == merge_snapshots(snapshots)["counters"]
         )
 
 
