@@ -7,9 +7,9 @@ columns carry the paper's verbatim numbers next to the measured ones.
 Every measured (circuit, device, method) cell is one
 :class:`~repro.obs.runstore.RunRecord` — the same record ``fpart
 partition --runs-dir`` writes.  With ``runs_dir`` each cell runs under
-a fresh :class:`MetricsRegistry` and is appended to that run store
-together with its metrics snapshot; a sweep-wide view is
-:func:`~repro.obs.metrics.merge_snapshots` over
+a fresh metrics registry and is recorded through :meth:`RunStore.record
+<repro.obs.runstore.RunStore.record>` like every other producer; a
+sweep-wide view is :func:`~repro.obs.metrics.merge_snapshots` over
 :meth:`RunStore.metrics_of`.  ``tests/test_paper_quality.py`` re-runs
 the default subset against the committed device counts in
 ``tests/data/mcnc_fpart_baseline/index.jsonl``.
@@ -43,8 +43,7 @@ from ..core import (
 from ..core.checkpoint import config_digest
 from ..hypergraph import Hypergraph
 from ..logging import get_logger, new_run_id
-from ..obs.metrics import NULL_METRICS, MetricsRegistry
-from ..obs.runstore import RunRecord, RunStore, RunStoreError
+from ..obs.runstore import RunRecord, RunStore, run_metrics
 from .published import (
     TABLE6_CPU_SECONDS,
     PublishedTable,
@@ -115,15 +114,15 @@ def run_method(
     ``KeyError`` of an unknown method, propagate (fail fast);
     :func:`run_sweep_cell` is the isolating wrapper.
 
-    With ``runs_dir`` the cell runs under a fresh
-    :class:`MetricsRegistry` and is appended, with its snapshot, to that
+    With ``runs_dir`` the cell runs under a fresh metrics registry and
+    is recorded, with its snapshot, into that
     :class:`~repro.obs.runstore.RunStore` (the baselines bypass the
     instrumented engines, so theirs is empty), making a whole sweep
     ``fpart history`` / ``fpart compare`` addressable.
     """
     device = device_by_name(device_name)
     hg = circuit_for_device(circuit, device_name)
-    metrics = MetricsRegistry() if runs_dir else NULL_METRICS
+    metrics = run_metrics(runs_dir)
     if method == "FPART":
         result = FpartPartitioner(hg, device, config, metrics=metrics).run()
         record = RunRecord.for_fpart(result, result.run_id, config)
@@ -147,20 +146,8 @@ def run_method(
     # keys its cells by the table's circuit and device names.
     record = dataclasses.replace(record, circuit=circuit, device=device_name)
     if runs_dir:
-        _record_cell(runs_dir, record, metrics.snapshot())
+        RunStore(runs_dir).record(record, metrics)
     return record
-
-
-def _record_cell(
-    runs_dir: str, record: RunRecord, metrics: Optional[Dict] = None
-) -> None:
-    """Append one sweep cell to the run registry (best effort)."""
-    try:
-        RunStore(runs_dir).record_run(record, metrics=metrics)
-    except RunStoreError as error:
-        get_logger("analysis.experiments").warning(
-            "run %s not recorded in %s: %s", record.run_id, runs_dir, error
-        )
 
 
 def _failed_cell(
@@ -187,7 +174,7 @@ def _failed_cell(
         labels={"error": error},
     )
     if runs_dir:
-        _record_cell(runs_dir, record)
+        RunStore(runs_dir).record(record)
     return record
 
 

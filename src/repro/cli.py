@@ -584,11 +584,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="render this many frames then exit (default: until Ctrl-C)",
     )
-    w.add_argument(
-        "--once",
-        action="store_true",
-        help="render a single frame and exit (same as --iterations 1)",
-    )
     return parser
 
 
@@ -667,8 +662,6 @@ def _run_fpart_portfolio(hg, device, args: argparse.Namespace):
             f"T_SUM={'-' if t_sum is None else int(t_sum)} "
             f"wall={report.wall_seconds:.2f}s{marker}"
         )
-    if args.runs_dir:
-        print(f"portfolio runs recorded in {args.runs_dir}")
     if portfolio.winner is None:
         raise PartitioningError(
             "portfolio failed: no restart produced a solution"
@@ -690,12 +683,13 @@ def _run_fpart_cli(hg, device, args: argparse.Namespace, solve):
     from .core.runguard import RunBudget, RunGuard
     from .logging import new_run_id
     from .obs import (
-        NULL_METRICS,
         NULL_TRACE,
         HeartbeatEmitter,
         MetricsRegistry,
+        RunRecord,
         RunStore,
         TraceWriter,
+        run_metrics,
     )
 
     config = _fpart_config(args)
@@ -723,14 +717,9 @@ def _run_fpart_cli(hg, device, args: argparse.Namespace, solve):
         else new_run_id()
     )
     store = RunStore(args.runs_dir) if args.runs_dir else None
-    # A run registry without telemetry would be an index of blanks: the
-    # store implies metrics, and traces land inside the run's own
-    # directory unless --trace pins another path.
-    metrics = (
-        MetricsRegistry()
-        if args.metrics or store is not None
-        else NULL_METRICS
-    )
+    # Traces land inside the run's own directory unless --trace pins
+    # another path; the recorder copies one written elsewhere.
+    metrics = MetricsRegistry() if args.metrics else run_metrics(args.runs_dir)
     trace_path = args.trace
     prof_out = None
     if store is not None:
@@ -795,55 +784,14 @@ def _run_fpart_cli(hg, device, args: argparse.Namespace, solve):
         print(f"metrics written to {args.metrics}")
     if args.trace:
         print(f"trace written to {args.trace}")
-    if store is not None:
-        _record_fpart_run(store, args, config, partitioner, result, metrics)
+    if store is not None and store.record(
+        RunRecord.for_fpart(result, partitioner.run_id, config),
+        metrics,
+        trace=trace_path,
+        profile=(args.prof_out or prof_out) if args.prof else None,
+    ):
+        print(f"run {partitioner.run_id} recorded in {args.runs_dir}")
     return result
-
-
-def _record_fpart_run(store, args, config, partitioner, result, metrics):
-    """Append the finished run to the ``--runs-dir`` registry."""
-    from .obs import (
-        RunRecord,
-        RunStoreError,
-        atomic_write_text,
-        render_phase_table,
-    )
-
-    artifacts = {}
-    if args.trace:
-        # Trace written outside the registry: keep a copy with the run.
-        artifacts["trace.jsonl"] = args.trace
-    if args.prof and args.prof_out:
-        # Profile written outside the registry: keep a copy with the run.
-        artifacts["profile.folded"] = args.prof_out
-    if metrics.enabled:
-        # The phase breakdown rides along as a rendered artifact, so a
-        # stored run is inspectable without re-deriving it from the
-        # snapshot (`fpart report --phases --from-runs` recomputes the
-        # same table live).
-        run_dir = store.run_dir(partitioner.run_id)
-        run_dir.mkdir(parents=True, exist_ok=True)
-        atomic_write_text(
-            run_dir / "phases.txt",
-            render_phase_table(
-                metrics.snapshot(),
-                wall_seconds=result.runtime_seconds,
-                run_id=partitioner.run_id,
-            )
-            + "\n",
-        )
-    record = RunRecord.for_fpart(result, partitioner.run_id, config)
-    try:
-        store.record_run(
-            record,
-            metrics=metrics.snapshot() if metrics.enabled else None,
-            artifacts=artifacts,
-        )
-        print(f"run {record.run_id} recorded in {args.runs_dir}")
-    except RunStoreError as error:
-        # E.g. resuming an already-recorded finished run: the partition
-        # itself succeeded, so only warn.
-        print(f"fpart: warning: run not recorded: {error}", file=sys.stderr)
 
 
 def _cmd_partition(args: argparse.Namespace) -> int:
@@ -1095,13 +1043,7 @@ def _cmd_report_phases(args: argparse.Namespace) -> int:
         from .obs import RunStore
 
         runs_dir, run_id = args.from_runs
-        store = RunStore(runs_dir)
-        record = store.get(run_id)
-        snapshot = store.metrics_of(record.run_id)
-        if not snapshot:
-            raise PartitioningError(
-                f"run {record.run_id} has no metrics snapshot"
-            )
+        record, snapshot = RunStore(runs_dir).artifact(run_id, "metrics")
         wall = record.wall_seconds
         run_id = record.run_id
     else:
@@ -1133,14 +1075,9 @@ def _cmd_flame(args: argparse.Namespace) -> int:
         from .obs import RunStore
 
         runs_dir, run_id = args.from_runs
-        store = RunStore(runs_dir)
-        record = store.get(run_id)
-        folded_path = store.run_dir(record.run_id) / "profile.folded"
-        if not folded_path.exists():
-            raise PartitioningError(
-                f"run {record.run_id} has no stored profile "
-                "(record it with 'partition --prof --runs-dir')"
-            )
+        record, folded_path = RunStore(runs_dir).artifact(
+            run_id, "profile.folded"
+        )
         title = args.title or f"fpart run {record.run_id}"
     elif args.folded:
         folded_path = Path(args.folded)
@@ -1164,7 +1101,7 @@ def _cmd_report_from_runs(args: argparse.Namespace) -> int:
         render_convergence_svg,
         render_pass_table,
     )
-    from .obs import RunStore, read_trace
+    from .obs import RunStore, RunStoreError, read_trace
 
     runs_dir, run_id = args.from_runs
     store = RunStore(runs_dir)
@@ -1184,8 +1121,11 @@ def _cmd_report_from_runs(args: argparse.Namespace) -> int:
             f"  cost: f={cost.get('f')} d_k={cost.get('d_k')} "
             f"T_SUM={cost.get('t_sum')} d_k_e={cost.get('d_k_e')}"
         )
-    trace_file = store.trace_path(record.run_id)
-    if trace_file is not None:
+    try:
+        _, trace_file = store.artifact(record.run_id, "trace.jsonl")
+    except RunStoreError:
+        lines.append("  (no trace stream stored for this run)")
+    else:
         events = read_trace(trace_file)
         lines.append("")
         lines.append(render_pass_table(events))
@@ -1194,8 +1134,6 @@ def _cmd_report_from_runs(args: argparse.Namespace) -> int:
                 render_convergence_svg(events), encoding="utf-8"
             )
             lines.append(f"convergence plot written to {args.svg}")
-    else:
-        lines.append("  (no trace stream stored for this run)")
     report = "\n".join(lines)
     if args.output:
         Path(args.output).write_text(report + "\n", encoding="utf-8")
@@ -1253,6 +1191,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_export(args: argparse.Namespace) -> int:
     from .obs import (
         RunStore,
+        RunStoreError,
         read_trace,
         write_chrome_trace,
         write_openmetrics,
@@ -1265,11 +1204,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
     store = RunStore(args.runs_dir)
     record = store.get(args.run_id)
     if args.openmetrics:
-        snapshot = store.metrics_of(record.run_id)
-        if not snapshot:
-            raise PartitioningError(
-                f"run {record.run_id} has no metrics snapshot"
-            )
+        _, snapshot = store.artifact(record.run_id, "metrics")
         write_openmetrics(
             args.openmetrics,
             snapshot,
@@ -1281,34 +1216,23 @@ def _cmd_export(args: argparse.Namespace) -> int:
         )
         print(f"OpenMetrics written to {args.openmetrics}")
     if args.chrome_trace:
-        trace_file = store.trace_path(record.run_id)
-        if trace_file is None:
-            raise PartitioningError(
-                f"run {record.run_id} has no stored trace stream"
-            )
-        # Side channels, when present: a spans.jsonl sibling of the runs
-        # dir (the serve state-dir layout, filtered to this run's trace
-        # when the record carries one) and the run's stored profile.
+        _, trace_file = store.artifact(record.run_id, "trace.jsonl")
+        # Side channels, when present: this run's service spans (the
+        # serve state-dir layout keeps spans.jsonl next to runs/, and a
+        # job's record carries its trace id) and its stored profile.
         spans = None
-        runs_root = Path(args.runs_dir)
-        for spans_file in (
-            runs_root / "spans.jsonl",
-            runs_root.parent / "spans.jsonl",
-        ):
-            if spans_file.exists():
-                span_events = read_trace(spans_file)
-                trace_id = (record.labels or {}).get("trace_id")
-                if trace_id:
-                    span_events = [
-                        e for e in span_events
-                        if e.get("trace_id") == trace_id
-                    ]
-                spans = span_events or None
-                break
-        profile = None
-        folded_file = store.run_dir(record.run_id) / "profile.folded"
-        if folded_file.exists():
+        trace_id = record.labels.get("trace_id")
+        spans_file = Path(args.runs_dir).parent / "spans.jsonl"
+        if trace_id and spans_file.exists():
+            spans = [
+                e for e in read_trace(spans_file)
+                if e.get("trace_id") == trace_id
+            ] or None
+        try:
+            _, folded_file = store.artifact(record.run_id, "profile.folded")
             profile = folded_file.read_text(encoding="utf-8")
+        except RunStoreError:
+            profile = None
         write_chrome_trace(
             args.chrome_trace,
             read_trace(trace_file),
@@ -1428,10 +1352,11 @@ def _cmd_top(args: argparse.Namespace) -> int:
         raise PartitioningError(
             "top needs --state-dir DIR or both --host and --port"
         )
-    iterations = 1 if args.once else args.iterations
     client = ServeClient(host, port)
     try:
-        return run_top(client, interval=args.interval, iterations=iterations)
+        return run_top(
+            client, interval=args.interval, iterations=args.iterations
+        )
     except ServeClientError as error:
         raise PartitioningError(f"top: {error}") from error
 

@@ -89,6 +89,7 @@ from .runstore import (
     RunStore,
     RunStoreError,
     atomic_write_text,
+    run_metrics,
 )
 from .trace import (
     EVENT_TYPES,
@@ -126,6 +127,7 @@ __all__ = [
     "RunStore",
     "RunStoreError",
     "atomic_write_text",
+    "run_metrics",
     "RunComparison",
     "compare_records",
     "compare_runs",

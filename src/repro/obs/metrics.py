@@ -29,8 +29,6 @@ import json
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
-from .runstore import atomic_write_text
-
 __all__ = [
     "METRICS_SCHEMA",
     "Counter",
@@ -370,6 +368,9 @@ class MetricsRegistry:
         }
         if extra:
             payload.update(extra)
+        # Deferred: the run store imports this module.
+        from .runstore import atomic_write_text
+
         return atomic_write_text(
             path, json.dumps(payload, indent=1, sort_keys=True) + "\n"
         )

@@ -7,14 +7,19 @@ queryable history directory (CLI ``--runs-dir``)::
         index.jsonl            # one compact RunRecord per line
         <run_id>/
             run.json           # full record + metrics snapshot
+            phases.txt         # phase table (when the snapshot is non-empty)
             trace.jsonl        # JSONL trace stream (when traced)
-            <artifact>...      # any extra files the caller attached
+            profile.folded     # sampled profile (when profiled)
 
 The index is the query surface (``fpart history`` scans only it); the
 per-run directories hold everything needed to re-render a run offline
-(``fpart report --from-runs``, ``fpart export``).  Records never
-mutate: a run is appended exactly once, at the end of the run, which is
-what makes the index an audit log of every partition the host executed.
+(``fpart report --from-runs``, ``fpart export``, ``fpart flame``,
+all through :meth:`RunStore.artifact`).  Records never mutate: a run is
+appended exactly once, at the end of the run, which is what makes the
+index an audit log of every partition the host executed.  Every
+producer (CLI, serve worker, restart worker, sweep) records through
+:meth:`RunStore.record`, so a stored run holds the same artifacts
+whoever ran it (DESIGN.md §7).
 
 Durability
 ----------
@@ -43,11 +48,14 @@ import dataclasses
 import json
 import os
 import shutil
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Mapping, Optional, Union
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
+from .metrics import NULL_METRICS, MetricsRegistry
+from .prof import render_phase_table
 from .trace import cost_fields
 
 try:  # POSIX only; Windows degrades to unlocked single-writer mode.
@@ -63,6 +71,7 @@ __all__ = [
     "RunStore",
     "RunStoreError",
     "atomic_write_text",
+    "run_metrics",
 ]
 
 #: Version of the index-line / ``run.json`` layout.
@@ -90,6 +99,17 @@ def atomic_write_text(path: Union[str, Path], text: str) -> Path:
 
 def _utc_now() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+
+
+def run_metrics(runs_dir: Optional[Union[str, Path]]) -> MetricsRegistry:
+    """The registry a run collects into: a run store implies metrics,
+    so every stored run carries a snapshot."""
+    return MetricsRegistry() if runs_dir else NULL_METRICS
+
+
+def _has_metrics(snapshot: Optional[Dict]) -> bool:
+    """True when a snapshot recorded anything (baselines record none)."""
+    return bool(snapshot) and any(snapshot.values())
 
 
 @dataclass(frozen=True)
@@ -211,6 +231,34 @@ class RunStore:
             finally:
                 fcntl.flock(handle, fcntl.LOCK_UN)
 
+    def record(
+        self,
+        record: RunRecord,
+        metrics: MetricsRegistry = NULL_METRICS,
+        trace: Optional[Union[str, Path]] = None,
+        profile: Optional[Union[str, Path]] = None,
+    ) -> Optional[Path]:
+        """The one recorder: persist a finished run, or warn and return
+        None.
+
+        Embeds the snapshot of ``metrics`` (:func:`run_metrics`) when it
+        is enabled and copies in the run's ``trace`` and folded-stack
+        ``profile``.  A store failure (a corrupt index, a run id
+        recorded twice) is one warning on stderr: recording is
+        observability and never fails a finished run.
+        """
+        snapshot = metrics.snapshot() if metrics.enabled else None
+        artifacts = {"trace.jsonl": trace, "profile.folded": profile}
+        try:
+            return self.record_run(record, snapshot, artifacts)
+        except (RunStoreError, OSError) as error:
+            print(
+                f"fpart: warning: run {record.run_id} not recorded in "
+                f"{self.root}: {error}",
+                file=sys.stderr,
+            )
+            return None
+
     def record_run(
         self,
         record: RunRecord,
@@ -219,13 +267,14 @@ class RunStore:
     ) -> Path:
         """Persist one finished run; returns its artifact directory.
 
-        ``metrics`` is a :meth:`MetricsRegistry.snapshot` dict embedded
-        in ``run.json``; ``artifacts`` maps destination file names to
-        source paths copied into the run directory (e.g. a trace stream
-        written elsewhere).  The index line is appended last, so a crash
-        mid-record leaves no dangling index entry.  Safe to call from
-        several processes sharing one runs directory: writers serialise
-        on :meth:`_writer_lock`.
+        The raising primitive behind :meth:`record`.  ``metrics`` is a
+        :meth:`MetricsRegistry.snapshot` dict embedded in ``run.json``
+        (a non-empty one also renders ``phases.txt``); ``artifacts``
+        maps destination file names to source paths (or None) copied
+        into the run directory.  The index line is appended last, so a
+        crash mid-record leaves no dangling index entry.  Safe to call
+        from several processes sharing one runs directory: writers
+        serialise on :meth:`_writer_lock`.
         """
         with self._writer_lock():
             existing = {r.run_id for r in self.records()}
@@ -247,9 +296,23 @@ class RunStore:
                 run_dir / "run.json",
                 json.dumps(payload, indent=1, sort_keys=True) + "\n",
             )
+            if _has_metrics(metrics):
+                # The phase breakdown rides along rendered, so a stored
+                # run is inspectable without re-deriving it.
+                atomic_write_text(
+                    run_dir / "phases.txt",
+                    render_phase_table(
+                        metrics,
+                        wall_seconds=record.wall_seconds,
+                        run_id=record.run_id,
+                    )
+                    + "\n",
+                )
             for name, source in (artifacts or {}).items():
                 if Path(name).name != name:
                     raise RunStoreError(f"invalid artifact name {name!r}")
+                if source is None:
+                    continue
                 src = Path(source)
                 if src.resolve() != (run_dir / name).resolve():
                     shutil.copyfile(src, run_dir / name)
@@ -338,11 +401,27 @@ class RunStore:
     def metrics_of(self, run_id: str) -> Optional[Dict]:
         return self.load_payload(run_id).get("metrics")
 
-    def trace_path(self, run_id: str) -> Optional[Path]:
-        """Path of the run's stored trace stream, or None."""
+    def artifact(
+        self, run_id: str, name: str
+    ) -> Tuple[RunRecord, Union[Dict, Path]]:
+        """``(record, artifact)`` of a run id or unique prefix.
+
+        ``name`` is ``"metrics"`` for the run's snapshot, else a file of
+        the run directory (``"trace.jsonl"``, ``"profile.folded"``) for
+        its path.  An unknown run and a missing artifact (an empty
+        snapshot counts as missing) both raise :class:`RunStoreError`.
+        """
         record = self.get(run_id)
-        path = self.run_dir(record.run_id) / "trace.jsonl"
-        return path if path.exists() else None
+        if name == "metrics":
+            found = self.metrics_of(record.run_id)
+            if not _has_metrics(found):
+                found = None
+        else:
+            path = self.run_dir(record.run_id) / name
+            found = path if path.is_file() else None
+        if found is None:
+            raise RunStoreError(f"run {record.run_id} has no stored {name}")
+        return record, found
 
     def baseline_for(self, record: RunRecord) -> Optional[RunRecord]:
         """The most recent earlier run comparable to ``record``.

@@ -23,11 +23,11 @@ hard per-task timeout are clamped to
 :meth:`RunGuard.remaining_seconds`, so the cooperative (in-worker) and
 pre-emptive (pool) enforcement layers promise the same wall clock.
 
-With a ``runs_dir`` every restart runs under a fresh metrics registry
-and records **itself**, snapshot included, into the shared
-:class:`~repro.obs.runstore.RunStore` from its worker process (run id
-``<portfolio>r<i>``, labels carrying the portfolio id, restart index
-and seed) — the concurrent-writer pattern the store's index lock is for.
+With a ``runs_dir`` every restart records **itself** from its worker
+process through :meth:`RunStore.record
+<repro.obs.runstore.RunStore.record>` like every other producer (run
+id ``<portfolio>r<i>``, labels carrying the portfolio id, restart index
+and seed), so parallel restarts contend on the store's index lock.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from ..core.fpart import FpartPartitioner, FpartResult
 from ..core.runguard import RunGuard
 from ..hypergraph import Hypergraph
 from ..logging import new_run_id
+from ..obs.runstore import RunRecord, RunStore, run_metrics
 from ..obs.trace import cost_fields
 from .pool import ParallelTask, TaskOutcome, WorkerPool
 from .reduce import Candidate, reduce_candidates, result_quality_key
@@ -121,10 +122,8 @@ def _restart_worker(
     restart records itself into the shared run store *from here*, so
     parallel restarts genuinely contend on the index lock.
     """
-    from ..obs.metrics import NULL_METRICS, MetricsRegistry
-
     config = dataclasses.replace(config, seed=seed)
-    metrics = MetricsRegistry() if runs_dir is not None else NULL_METRICS
+    metrics = run_metrics(runs_dir)
     evaluator = None
     if fault_plan is not None:
         from ..core.cost import make_evaluator
@@ -146,9 +145,7 @@ def _restart_worker(
         metrics=metrics,
     ).run()
     if runs_dir is not None:
-        from ..obs.runstore import RunRecord, RunStore
-
-        RunStore(runs_dir).record_run(
+        RunStore(runs_dir).record(
             RunRecord.for_fpart(
                 result,
                 run_id,
@@ -159,7 +156,7 @@ def _restart_worker(
                     "seed": str(seed),
                 },
             ),
-            metrics=metrics.snapshot(),
+            metrics,
         )
     return {"result": result}
 

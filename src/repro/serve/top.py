@@ -237,7 +237,7 @@ def run_top(
     """Dashboard loop: poll, render, repeat until Ctrl-C.
 
     ``iterations`` bounds the loop for tests and one-shot inspection
-    (``--once`` is ``iterations=1``); ``None`` runs until interrupted.
+    (``fpart top --iterations 1``); ``None`` runs until interrupted.
     Refresh-in-place uses the ANSI clear-screen sequence only when
     writing to a TTY — piped output gets frames separated by blank
     lines instead of control codes.

@@ -17,10 +17,12 @@ attempt of one job:
   checkpoint falls back to a fresh run — availability over history);
 * stream ``progress`` heartbeats into the job's ``trace.jsonl``, which
   the HTTP layer tails for chunked-JSONL job streaming;
-* record the finished attempt into the shared
-  :class:`~repro.obs.runstore.RunStore` (the concurrent-writer pattern
-  the store's index lock exists for), and write the full assignment to
-  ``result.json`` atomically.
+* record the finished attempt through :meth:`RunStore.record
+  <repro.obs.runstore.RunStore.record>` like every other producer: the
+  store record holds the metrics snapshot, ``phases.txt`` and copies of
+  the job's ``trace.jsonl`` and slow profile, which stay where the
+  daemon reads them;
+* write the full assignment to ``result.json`` atomically.
 
 The return value is a compact JSON-safe summary — the daemon keeps it
 in the job table and journals it; the heavyweight assignment stays on
@@ -43,6 +45,12 @@ from ..core.exceptions import CheckpointError
 from ..core.fpart import FpartPartitioner
 from ..hypergraph.io import load_netlist
 from ..obs.progress import HeartbeatEmitter
+from ..obs.runstore import (
+    RunRecord,
+    RunStore,
+    atomic_write_text,
+    run_metrics,
+)
 from ..obs.trace import TraceWriter, cost_fields
 
 __all__ = ["run_partition_job", "job_config"]
@@ -135,7 +143,9 @@ def run_partition_job(
             resumed = False
 
     run_id = f"{job_id[:8]}a{attempt}"
-    tracer = TraceWriter(directory / "trace.jsonl", run_id=run_id)
+    trace_path = directory / "trace.jsonl"
+    tracer = TraceWriter(trace_path, run_id=run_id)
+    metrics = run_metrics(runs_dir)
     heartbeat = HeartbeatEmitter(tracer=tracer, interval_seconds=0.5)
     run_span = ""
     if trace_id:
@@ -157,6 +167,7 @@ def run_partition_job(
             keep_trace=False,
             checkpoint=checkpoint,
             run_id=run_id,
+            metrics=metrics,
             tracer=tracer,
             heartbeat=heartbeat,
         ).run()
@@ -168,35 +179,31 @@ def run_partition_job(
             sampler.stop()
     wall = time.monotonic() - started
 
-    profile_captured = False
+    profile = None
     if sampler is not None and wall * 1000.0 >= prof_slow_ms:
-        profile_captured = _capture_profile(
+        profile = _capture_profile(
             sampler, profiles_dir or str(directory), job_id, attempt,
             run_id, trace_id, wall,
         )
 
     cost = cost_fields(result.cost) if result.cost is not None else None
     if runs_dir is not None:
-        from ..obs.runstore import RunRecord, RunStore, RunStoreError
-
-        try:
-            RunStore(runs_dir).record_run(
-                RunRecord.for_fpart(
-                    result,
-                    run_id,
-                    config,
-                    labels={
-                        "job": job_id,
-                        "attempt": str(attempt),
-                        "tenant": tenant,
-                        **({"trace_id": trace_id} if trace_id else {}),
-                    },
-                )
-            )
-        except RunStoreError:
-            # The run store is observability, not correctness: a
-            # recording failure must not fail a finished job.
-            pass
+        RunStore(runs_dir).record(
+            RunRecord.for_fpart(
+                result,
+                run_id,
+                config,
+                labels={
+                    "job": job_id,
+                    "attempt": str(attempt),
+                    "tenant": tenant,
+                    **({"trace_id": trace_id} if trace_id else {}),
+                },
+            ),
+            metrics,
+            trace=trace_path,
+            profile=profile,
+        )
 
     _write_result_json(
         directory,
@@ -232,7 +239,7 @@ def run_partition_job(
         "wall_seconds": round(wall, 3),
         "resumed": resumed,
         "attempt": attempt,
-        "profile_captured": profile_captured,
+        "profile_captured": profile is not None,
     }
 
 
@@ -244,8 +251,8 @@ def _capture_profile(
     run_id: str,
     trace_id: str,
     wall: float,
-) -> bool:
-    """Persist a slow attempt's folded stacks; returns True on success.
+) -> Optional[Path]:
+    """Persist a slow attempt's folded stacks; returns the file or None.
 
     The file is keyed by job (the latest slow attempt wins — that is
     the one worth looking at) and carries the correlation metadata as
@@ -253,8 +260,6 @@ def _capture_profile(
     :func:`repro.obs.prof.parse_folded`) skips.  Best-effort: a capture
     failure never fails a finished attempt.
     """
-    from ..obs.runstore import atomic_write_text
-
     try:
         directory = Path(profiles_dir)
         directory.mkdir(parents=True, exist_ok=True)
@@ -267,9 +272,8 @@ def _capture_profile(
             f"# samples: {sampler.samples}\n"
             f"# hz: {sampler.hz:g}\n"
         )
-        atomic_write_text(
+        return atomic_write_text(
             directory / f"{job_id}.folded", header + sampler.folded()
         )
-        return True
     except OSError:
-        return False
+        return None

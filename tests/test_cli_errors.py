@@ -5,6 +5,7 @@ flags (``--deadline`` / ``--max-iterations`` / ``--strict`` /
 import pytest
 
 from repro.cli import main
+from repro.obs import RunStore
 
 
 @pytest.fixture
@@ -84,6 +85,48 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""  # rejected before any cell ran
         assert unknown in captured.err and valid in captured.err
+
+    @pytest.mark.parametrize(
+        "producer, command, artifact",
+        [
+            ("sweep-pack", ["report", "--phases", "--from-runs"], "metrics"),
+            ("sweep-pack", ["export", "--openmetrics", "{out}", "--runs-dir"],
+             "metrics"),
+            ("sweep-fpart", ["export", "--chrome-trace", "{out}",
+                             "--runs-dir"], "trace.jsonl"),
+            ("cli", ["flame", "-o", "{out}", "--from-runs"],
+             "profile.folded"),
+        ],
+        ids=["report-phases", "export-openmetrics", "export-chrome-trace",
+             "flame"],
+    )
+    def test_missing_stored_artifact_is_65(
+        self, producer, command, artifact, netlist_file, tmp_path, capsys
+    ):
+        from repro.analysis.experiments import run_method
+
+        runs_dir = tmp_path / "runs"
+        if producer == "cli":
+            # Recorded without --prof: no profile.
+            assert main(
+                ["partition", str(netlist_file), "--runs-dir", str(runs_dir)]
+            ) == 0
+            (record,) = RunStore(runs_dir).records()
+            run_id = record.run_id
+        else:
+            # Sweep cells are untraced; baselines record no metrics.
+            method = "BFS-pack" if producer == "sweep-pack" else "FPART"
+            run_id = run_method(
+                method, "c3540", "XC3042", runs_dir=str(runs_dir)
+            ).run_id
+        capsys.readouterr()
+        out = str(tmp_path / "out")
+        args = [arg.replace("{out}", out) for arg in command]
+        code = main([*args, str(runs_dir), run_id])
+        assert code == 65
+        err = capsys.readouterr().err
+        assert err.startswith("fpart: error:")
+        assert f"run {run_id} has no stored {artifact}" in err
 
 
 class TestGuardFlags:

@@ -495,7 +495,7 @@ class TestTopDashboard:
         )
         try:
             assert main(
-                ["top", "--state-dir", str(state), "--once"]
+                ["top", "--state-dir", str(state), "--iterations", "1"]
             ) == 0
             out = capsys.readouterr().out
             assert "fpart top" in out

@@ -59,8 +59,7 @@ class TestPartitionRunsDir:
         assert record.config_digest
         # The store implies telemetry: metrics + an in-store trace.
         assert store.metrics_of(record.run_id)["counters"]["fpart.runs"] == 1
-        trace = store.trace_path(record.run_id)
-        assert trace is not None
+        _, trace = store.artifact(record.run_id, "trace.jsonl")
         events = read_trace(trace)
         assert validate_trace(events) == []
         assert {e["run_id"] for e in events} == {record.run_id}
@@ -76,8 +75,7 @@ class TestPartitionRunsDir:
         store = RunStore(runs_dir)
         record = store.records()[0]
         assert trace.exists()
-        stored = store.trace_path(record.run_id)
-        assert stored is not None
+        _, stored = store.artifact(record.run_id, "trace.jsonl")
         assert stored.read_text() == trace.read_text()
 
     def test_runs_dir_requires_fpart(self, netlist_file, tmp_path, capsys):
@@ -308,3 +306,98 @@ class TestExperimentRunsDir:
         assert store.metrics_of(record.run_id)
         assert stored[baseline.run_id].method == "BFS-pack"
         assert stored[baseline.run_id].status == "ok"
+
+
+# -- one recorder: every producer stores the same artifacts -------------
+
+
+def _record_cli(netlist_file, tmp_path):
+    runs_dir = tmp_path / "runs"
+    assert _partition_into_store(netlist_file, runs_dir) == 0
+    return runs_dir
+
+
+def _record_restarts(netlist_file, tmp_path):
+    runs_dir = tmp_path / "runs"
+    assert _partition_into_store(
+        netlist_file, runs_dir, "--restarts", "2"
+    ) == 0
+    return runs_dir
+
+
+def _record_sweep(netlist_file, tmp_path):
+    from repro.analysis.experiments import run_method
+
+    runs_dir = tmp_path / "runs"
+    run_method("FPART", "c3540", "XC3042", runs_dir=str(runs_dir))
+    return runs_dir
+
+
+def _record_serve(netlist_file, tmp_path):
+    from repro.serve import TERMINAL_STATES, PartitionService, ServiceConfig
+
+    state = tmp_path / "state"
+    service = PartitionService(
+        ServiceConfig(state_dir=str(state), jobs=1)
+    ).start()
+    try:
+        response = service.submit(
+            {"netlist": str(netlist_file), "device": "XC3020"}
+        )
+        job_id = response["job"]["job_id"]
+        assert service.wait_for(
+            lambda: service.job(job_id)["job"]["state"] in TERMINAL_STATES,
+            60.0,
+        )
+    finally:
+        service.close()
+    return state / "runs"
+
+
+#: producer -> (records one run into a store, its runs are traced)
+PRODUCERS = {
+    "cli": (_record_cli, True),
+    "restarts": (_record_restarts, False),
+    "sweep": (_record_sweep, False),
+    "serve": (_record_serve, True),
+}
+
+
+class TestOneRecorder:
+    @pytest.mark.parametrize("producer", list(PRODUCERS))
+    def test_every_producer_writes_the_same_artifact_set(
+        self, producer, netlist_file, tmp_path
+    ):
+        record_into_store, traced = PRODUCERS[producer]
+        runs_dir = record_into_store(netlist_file, tmp_path)
+        store = RunStore(runs_dir)
+        records = store.records()
+        assert records
+        for record in records:
+            run_dir = store.run_dir(record.run_id)
+            payload = json.loads((run_dir / "run.json").read_text())
+            assert payload["metrics"]["counters"]["fpart.runs"] == 1
+            assert (run_dir / "phases.txt").is_file()
+            assert main(
+                ["report", "--phases", "--from-runs", str(runs_dir),
+                 record.run_id]
+            ) == 0
+            if not traced:
+                continue
+            _, trace = store.artifact(record.run_id, "trace.jsonl")
+            assert {e["run_id"] for e in read_trace(trace)} == {
+                record.run_id
+            }
+            out = tmp_path / f"{record.run_id}.chrome.json"
+            assert main(
+                ["export", "--runs-dir", str(runs_dir), record.run_id,
+                 "--chrome-trace", str(out)]
+            ) == 0
+            threads = {
+                event["args"]["name"]
+                for event in json.loads(out.read_text())["traceEvents"]
+                if event["name"] == "thread_name"
+            }
+            # The serve layout keeps the daemon's spans.jsonl next to
+            # the run store; export merges this job's spans from it.
+            assert ("service spans" in threads) == (producer == "serve")

@@ -561,6 +561,29 @@ class TestCli:
         best_out = capsys.readouterr().out
         assert "best:" in best_out
 
+    def test_recording_failure_keeps_the_portfolio(
+        self, netlist, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        runs_dir = tmp_path / "runs"
+        runs_dir.mkdir()
+        (runs_dir / "index.jsonl").write_text("{corrupt\n")
+        rc = main(
+            ["partition", str(netlist), "--restarts", "2",
+             "--runs-dir", str(runs_dir)]
+        )
+        captured = capsys.readouterr()
+        assert rc == 0, captured.err
+        assert "status=complete" in captured.out
+        assert "<- winner" in captured.out
+        warnings = [
+            line for line in captured.err.splitlines()
+            if "not recorded" in line
+        ]
+        assert len(warnings) == 2
+        assert all("corrupt index line" in line for line in warnings)
+
     def test_restarts_reject_per_run_telemetry(self, netlist, tmp_path):
         from repro.cli import EXIT_SOFTWARE, main
 

@@ -172,14 +172,16 @@ class TestRunStore:
         store.record_run(
             make_record(), artifacts={"trace.jsonl": source}
         )
-        stored = store.trace_path("run00001")
-        assert stored is not None
+        _, stored = store.artifact("run00001", "trace.jsonl")
         assert stored.read_text() == source.read_text()
 
-    def test_trace_path_none_without_trace(self, tmp_path):
+    def test_missing_artifact_raises(self, tmp_path):
         store = RunStore(tmp_path)
         store.record_run(make_record())
-        assert store.trace_path("run00001") is None
+        with pytest.raises(RunStoreError, match="no stored trace.jsonl"):
+            store.artifact("run00001", "trace.jsonl")
+        with pytest.raises(RunStoreError, match="no stored metrics"):
+            store.artifact("run00001", "metrics")
 
     def test_artifact_names_must_be_bare(self, tmp_path):
         store = RunStore(tmp_path)
