@@ -718,12 +718,15 @@ def _run_fpart_cli(hg, device, args: argparse.Namespace, solve):
     )
     store = RunStore(args.runs_dir) if args.runs_dir else None
     # Traces land inside the run's own directory unless --trace pins
-    # another path; the recorder copies one written elsewhere.
+    # another path; the recorder copies one written elsewhere.  A
+    # resumed run whose id is already recorded keeps out of the stored
+    # run's directory: the recorder rejects the duplicate id, and its
+    # artifacts must survive the attempt.
     metrics = MetricsRegistry() if args.metrics else run_metrics(args.runs_dir)
     trace_path = args.trace
     prof_out = None
-    if store is not None:
-        run_dir = store.run_dir(run_id)
+    run_dir = store.run_dir(run_id) if store is not None else None
+    if run_dir is not None and not (run_dir / "run.json").exists():
         run_dir.mkdir(parents=True, exist_ok=True)
         trace_path = trace_path or str(run_dir / "trace.jsonl")
         prof_out = str(run_dir / "profile.folded")

@@ -20,7 +20,16 @@ Mechanics per pass (the classical discipline):
   ``(f, d_k, T_SUM, d_k^E)`` is evaluated and the best prefix remembered;
   the pass rolls back to it;
 * negative-gain moves are accepted within a pass (hill climbing), which
-  with best-prefix rollback is what lets the method escape local minima.
+  with best-prefix rollback is what lets the method escape local minima;
+* a multi-block pass (>= 3 blocks) stops once it has gone
+  ``config.pass_stall_limit`` moves without a new pass-best while its
+  current solution has fewer feasible blocks than the pass-best
+  (section 5's early abort, on by default): the pass is moving away
+  from the feasible region, and the rollback would undo those moves.
+  2-block passes ignore the limit and always run to completion — their
+  pass-best can recover after hundreds of moves.  The stall count at
+  each pass-best improvement is recorded in the
+  ``sanchis.recovery_stall.k2`` / ``.multi`` histograms.
 
 Implementation note: the per-direction "gain bucket + heap" of [14] is
 realized as one lazy max-heap per direction with version-stamped entries
@@ -70,6 +79,13 @@ from ..obs.trace import NULL_TRACE, TraceWriter, cost_fields
 from ..partition import PartitionState
 
 __all__ = ["SanchisEngine", "SanchisResult"]
+
+#: Range and bucket width of the ``sanchis.recovery_stall.{k2,multi}``
+#: histograms (stall count at each pass-best improvement); stalls at or
+#: beyond ``STALL_HIST_HI`` land in the top bucket.
+STALL_HIST_HI = 512
+STALL_HIST_WIDTH = 8
+_STALL_BUCKETS = STALL_HIST_HI // STALL_HIST_WIDTH
 
 # Heap entry: (-g1, -g2, -seq, version, cell).  heapq pops the smallest,
 # so this orders by max g1, then max g2, then LIFO (latest seq first).
@@ -191,7 +207,10 @@ class SanchisEngine:
         region = self.region
         use_g2 = config.use_level2_gains
         pin_mode = config.gain_mode == "pin"
-        stall_limit = config.pass_stall_limit
+        multi = len(self.blocks) >= 3
+        # The stall cut applies to multi-block passes only (see the
+        # module docstring).
+        stall_limit = config.pass_stall_limit if multi else None
 
         evaluator = self.evaluator
         # Per-move comparisons use the raw key tuple; the SolutionCost
@@ -220,6 +239,9 @@ class SanchisEngine:
         parks = 0  # move-region boundary hits (entries parked)
         heap_peak = 0  # deepest dir_heap observed at selection time
         ghist = [0] * (GAIN_HIST_HI - GAIN_HIST_LO)  # chosen level-1 gains
+        # Stall count at each pass-best improvement, in STALL_HIST_WIDTH
+        # buckets with the top one clamped.
+        shist = [0] * _STALL_BUCKETS
 
         free: Set[int] = set()
         for b in self.blocks:
@@ -417,7 +439,7 @@ class SanchisEngine:
 
         mark = state.journal_mark()
         best_mark = mark
-        best_key = key_of(state, self.remainder)
+        best_key = key = key_of(state, self.remainder)
         stalled = 0  # moves since the pass-best last improved
 
         # Guard lease protocol: one local integer decrement per applied
@@ -431,8 +453,14 @@ class SanchisEngine:
         budget_left = guard.lease()
         try:
             while free:
-                if stall_limit is not None and stalled >= stall_limit:
-                    break  # wandering in the infeasible region: cut losses
+                if (
+                    stall_limit is not None
+                    and stalled >= stall_limit
+                    and key[0] > best_key[0]
+                ):
+                    # Stalled with fewer feasible blocks than the
+                    # pass-best: wandering in the infeasible region.
+                    break
                 chosen = select()
                 if chosen is None:
                     break
@@ -512,6 +540,9 @@ class SanchisEngine:
                 if key < best_key:
                     best_key = key
                     best_mark = state.journal_mark()
+                    if collect:
+                        bucket = stalled // STALL_HIST_WIDTH
+                        shist[min(bucket, _STALL_BUCKETS - 1)] += 1
                     stalled = 0
                 else:
                     stalled += 1
@@ -539,6 +570,14 @@ class SanchisEngine:
                 metrics.histogram(
                     "sanchis.gain1", GAIN_HIST_LO, GAIN_HIST_HI
                 ).add_buckets(ghist)
+                metrics.histogram(
+                    "sanchis.recovery_stall.multi"
+                    if multi
+                    else "sanchis.recovery_stall.k2",
+                    0,
+                    STALL_HIST_HI,
+                    STALL_HIST_WIDTH,
+                ).add_buckets(shist)
         return best_mark - mark, evaluator.cost_of(state, self.remainder)
 
     # ------------------------------------------------------------------

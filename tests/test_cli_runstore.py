@@ -78,6 +78,26 @@ class TestPartitionRunsDir:
         _, stored = store.artifact(record.run_id, "trace.jsonl")
         assert stored.read_text() == trace.read_text()
 
+    def test_resume_of_recorded_run_keeps_its_trace(
+        self, netlist_file, tmp_path, capsys
+    ):
+        runs_dir = tmp_path / "runs"
+        ckpt = ["--checkpoint", str(tmp_path / "ck.json")]
+        assert _partition_into_store(netlist_file, runs_dir, *ckpt) == 0
+        store = RunStore(runs_dir)
+        record = store.records()[0]
+        _, trace = store.artifact(record.run_id, "trace.jsonl")
+        before = trace.read_bytes()
+        capsys.readouterr()
+        # The resumed run reuses the checkpoint's run id, which the
+        # recorder rejects as a duplicate.
+        assert _partition_into_store(
+            netlist_file, runs_dir, *ckpt, "--resume"
+        ) == 0
+        assert "already recorded" in capsys.readouterr().err
+        assert [r.run_id for r in store.records()] == [record.run_id]
+        assert trace.read_bytes() == before
+
     def test_runs_dir_requires_fpart(self, netlist_file, tmp_path, capsys):
         assert main(
             ["partition", str(netlist_file), "--device", "XC3020",

@@ -1,7 +1,8 @@
 """The paper's future-work extensions (section 5).
 
-Pin-count gains (instead of cut-net gains) and early pass abort — both
-implemented as config knobs and validated here.
+Pin-count gains (instead of cut-net gains) and early pass abort of
+multi-block passes — both implemented as config knobs and validated
+here.
 """
 
 import pytest
@@ -98,25 +99,68 @@ class TestPassStall:
         with pytest.raises(ValueError, match="pass_stall_limit"):
             FpartConfig(pass_stall_limit=0)
 
-    def test_stall_caps_pass_moves(self, medium_circuit, small_device):
-        """With a stall limit the engine must apply at most
-        best_prefix + limit moves per pass."""
-        from repro.core import CostEvaluator, MoveRegion, DEFAULT_CONFIG
+    @staticmethod
+    def _one_pass(hg, device, k, limit):
+        """One engine pass over ``k`` round-robin blocks; returns the
+        moves kept, the moves tried and the assignment it leaves."""
+        from repro.core import CostEvaluator, MoveRegion
+        from repro.obs import MetricsRegistry
         from repro.sanchis import SanchisEngine
 
-        config = FpartConfig(pass_stall_limit=5, max_passes=1)
-        n = medium_circuit.num_cells
+        config = FpartConfig(pass_stall_limit=limit, max_passes=1)
         state = PartitionState.from_assignment(
-            medium_circuit, [c % 2 for c in range(n)]
+            hg, [c % k for c in range(hg.num_cells)]
         )
-        evaluator = CostEvaluator(
-            small_device, config, 4, medium_circuit.num_terminals
-        )
-        region = MoveRegion(small_device, config, 1, True, 2, 4)
+        evaluator = CostEvaluator(device, config, 4, hg.num_terminals)
+        region = MoveRegion(device, config, k - 1, k == 2, k, 4)
+        metrics = MetricsRegistry()
         engine = SanchisEngine(
-            state, [0, 1], 1, evaluator, region, config
+            state, list(range(k)), k - 1, evaluator, region, config,
+            metrics=metrics,
         )
         moves, _ = engine.run_pass()
-        # A full pass would move every free cell (n); a stalled pass
-        # stops far earlier on an already-balanced random split.
-        assert moves < n
+        tried = metrics.snapshot()["counters"]["sanchis.moves_tried"]
+        return moves, tried, state.assignment()
+
+    def test_stall_caps_pass_moves(self, medium_circuit):
+        """A multi-block pass stops once it has gone ``limit`` moves
+        without a new pass-best while holding fewer feasible blocks
+        than that best (pin-roomy device: the round-robin start has
+        feasible blocks to lose)."""
+        from repro.core import Device
+
+        device = Device("PINROOM", s_ds=40, t_max=60, delta=1.0)
+        kept, tried, _ = self._one_pass(medium_circuit, device, 3, 5)
+        _, full_tried, _ = self._one_pass(medium_circuit, device, 3, None)
+        assert kept + 5 <= tried < full_tried
+
+    def test_two_block_pass_ignores_limit(self, medium_circuit):
+        """2-block passes always run to completion: the limit changes
+        neither the moves tried nor the moves kept.  (On this device,
+        the multi-block rule applied to the same pass would stop it
+        after 59 of its 120 moves.)"""
+        from repro.core import Device
+
+        device = Device("ROOMY", s_ds=60, t_max=60, delta=1.0)
+        capped = self._one_pass(medium_circuit, device, 2, 5)
+        full = self._one_pass(medium_circuit, device, 2, None)
+        assert capped == full
+        assert full[1] == medium_circuit.num_cells
+
+    @pytest.mark.parametrize("case", ["golden-smallm", "c6288-XC3020"])
+    def test_default_limit_matches_full_pass(self, case):
+        """Oracle: the default limit cuts only rolled-back work, so the
+        result equals the classical full pass bit for bit."""
+        from repro.circuits import generate_circuit
+
+        if case == "golden-smallm":
+            hg = generate_circuit(
+                "golden-smallm", num_cells=380, num_ios=50, seed=1
+            )
+        else:
+            hg = mcnc_circuit("c6288", "XC3000")
+        assert FpartConfig().pass_stall_limit == 128
+        default = fpart(hg, XC3020)
+        full = fpart(hg, XC3020, FpartConfig(pass_stall_limit=None))
+        assert default.assignment == full.assignment
+        assert default.cost.key == full.cost.key

@@ -233,10 +233,10 @@ GOLDEN = {
     "kwayx": "181055558c2349005b4c42f8e4c4657237296b2052d2e06eaf43c1a68102c910",
 }
 
-#: ``config_digest(DEFAULT_CONFIG)`` since the no-op
-#: ``balance_tie_break`` field left ``FpartConfig``; older checkpoints
-#: fail ``--resume`` with a CheckpointError.
-DEFAULT_CONFIG_DIGEST = "71e609bd58a2f097"
+#: ``config_digest(DEFAULT_CONFIG)`` since ``pass_stall_limit``
+#: defaults to 128 (multi-block passes only); older checkpoints fail
+#: ``--resume`` with a CheckpointError.
+DEFAULT_CONFIG_DIGEST = "2e5439954d4b60bf"
 
 
 class TestWholeRunBitIdentity:

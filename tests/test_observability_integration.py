@@ -15,7 +15,7 @@ import json
 
 import pytest
 
-from repro import XC3042, mcnc_circuit
+from repro import XC2064, XC3020, XC3042, mcnc_circuit
 from repro.core import (
     CheckpointManager,
     FpartConfig,
@@ -64,6 +64,54 @@ class TestObservationDoesNotPerturb:
         sink = io.StringIO()
         traced, _, _ = _traced_run(medium_circuit, small_device, sink)
         assert traced.assignment == plain.assignment
+
+
+class TestRecoveryStall:
+    """``sanchis.recovery_stall.{k2,multi}``: the stall count at each
+    pass-best improvement, split by the pass's block count."""
+
+    @staticmethod
+    def _golden_smallm():
+        from repro.circuits import generate_circuit
+
+        return generate_circuit(
+            "golden-smallm", num_cells=380, num_ios=50, seed=1
+        )
+
+    def test_histograms_do_not_perturb(self):
+        hg = self._golden_smallm()
+        plain = FpartPartitioner(hg, XC3020).run()
+        metrics = MetricsRegistry()
+        observed = FpartPartitioner(hg, XC3020, metrics=metrics).run()
+        assert observed.assignment == plain.assignment
+        assert observed.cost.key == plain.cost.key
+        histograms = metrics.snapshot()["histograms"]
+        assert histograms["sanchis.recovery_stall.k2"]["total"] > 0
+        # Flushed once per multi-block pass, improvements or not.
+        assert "sanchis.recovery_stall.multi" in histograms
+
+    @pytest.mark.parametrize("case", ["golden-smallm", "c3540-XC2064"])
+    def test_multi_block_recoveries_stay_below_the_limit(self, case):
+        """On these inputs every multi-block pass-best improvement of
+        the classical full pass comes within the default stall limit,
+        so the cut cannot change their trajectories."""
+        if case == "golden-smallm":
+            hg, device = self._golden_smallm(), XC3020
+        else:
+            hg, device = mcnc_circuit("c3540", "XC2000"), XC2064
+        metrics = MetricsRegistry()
+        FpartPartitioner(
+            hg, device, FpartConfig(pass_stall_limit=None), metrics=metrics
+        ).run()
+        hist = metrics.snapshot()["histograms"][
+            "sanchis.recovery_stall.multi"
+        ]
+        hit = [i for i, n in enumerate(hist["counts"]) if n]
+        if case == "c3540-XC2064":
+            assert hit  # this input does recover inside multi-block passes
+        if hit:
+            top = hist["lo"] + (hit[-1] + 1) * hist["width"]
+            assert top <= FpartConfig().pass_stall_limit
 
 
 class TestTraceStream:
