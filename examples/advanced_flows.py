@@ -1,14 +1,10 @@
 #!/usr/bin/env python
-"""Advanced flows: BLIF import, replication polish, mixed-device costs.
+"""Advanced flow: a technology-mapped BLIF design through FPART.
 
-Three features beyond the paper's core algorithm, chained into one
-realistic flow:
-
-1. import a technology-mapped design from structural BLIF,
-2. partition it with FPART, then *polish* the partition with functional
-   replication (the r+p.0 mechanism) to cut board wiring,
-3. price the same design against a device library and pick the
-   cheapest mixed-device implementation.
+1. import a technology-mapped design from structural BLIF (every
+   ``.names`` / ``.latch`` becomes one cell, every port one pad),
+2. partition it with FPART,
+3. report the partition's quality: block fill, pins and board traces.
 
 Run:  python examples/advanced_flows.py
 """
@@ -17,9 +13,7 @@ import io
 
 from repro import Device, fpart
 from repro.analysis import analyze_partition, render_quality
-from repro.core import XILINX_LIBRARY, partition_heterogeneous
 from repro.hypergraph import loads_blif
-from repro.replication import replicate_for_pins
 
 
 def make_blif(stages: int = 40, width: int = 4) -> str:
@@ -47,30 +41,17 @@ def main() -> None:
     circuit = loads_blif(make_blif())
     print(f"Imported from BLIF: {circuit}")
 
-    # 2. Partition + replication polish.
+    # 2. Partition.
     device = Device("DEMO", s_ds=48, t_max=24, delta=1.0)
     result = fpart(circuit, device)
     print(f"\n{result.summary()}")
-    before = analyze_partition(
+
+    # 3. Quality report.
+    quality = analyze_partition(
         circuit, result.assignment, device, result.num_devices
     )
-    polished = replicate_for_pins(
-        circuit, result.assignment, device, max_replications=24
-    )
-    after = analyze_partition(
-        polished.hg, polished.assignment, device, polished.num_blocks
-    )
-    print(f"Replication polish: {polished.summary()}")
-    print(
-        f"Board traces: {before.board_traces} -> {after.board_traces} "
-        f"(area +{polished.size_added} cells)"
-    )
     print()
-    print(render_quality(after, title="Post-replication quality"))
-
-    # 3. Mixed-device pricing.
-    hetero = partition_heterogeneous(circuit, XILINX_LIBRARY)
-    print(f"\nMixed-device plan: {hetero.summary()}")
+    print(render_quality(quality, title="FPART partition quality"))
 
 
 if __name__ == "__main__":

@@ -5,21 +5,12 @@
 * naive BFS / random first-fit packers (sanity floor).
 """
 
-from .annealing import AnnealingResult, anneal_kway
-from .direct import DirectResult, direct_kway
 from .fbb import FbbMultiway, FbbResult, fbb_bipartition, fbb_multiway
 from .flow import INFINITY, FlowNetwork
 from .kwayx import KwayxPartitioner, KwayxResult, kwayx
 from .naive import NaiveResult, bfs_pack, random_pack
-from .rp0 import Rp0Result, rp0
 
 __all__ = [
-    "Rp0Result",
-    "rp0",
-    "DirectResult",
-    "direct_kway",
-    "AnnealingResult",
-    "anneal_kway",
     "FlowNetwork",
     "INFINITY",
     "fbb_bipartition",

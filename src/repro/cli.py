@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from .analysis import render_device_comparison, run_device_experiment
-from .baselines import bfs_pack, fbb_multiway, kwayx, rp0
+from .baselines import bfs_pack, fbb_multiway, kwayx
 from .circuits import generate_circuit
 from .core import (
     DEFAULT_CONFIG,
@@ -97,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--algorithm",
-        choices=["fpart", "kwayx", "rp0", "fbb", "pack"],
+        choices=["fpart", "kwayx", "fbb", "pack"],
         default="fpart",
         help="partitioning algorithm",
     )
@@ -824,7 +824,6 @@ def _cmd_partition(args: argparse.Namespace) -> int:
 
     runners = {
         "kwayx": lambda: kwayx(hg, device),
-        "rp0": lambda: rp0(hg, device),
         "fbb": lambda: fbb_multiway(hg, device),
         "pack": lambda: bfs_pack(hg, device),
     }
@@ -857,7 +856,6 @@ def _cmd_partition(args: argparse.Namespace) -> int:
     else:
         res = solve(runners[args.algorithm])
 
-    assignment: Optional[List[int]]
     if args.algorithm == "fpart":
         assignment = res.assignment
         print(res.summary())
@@ -869,11 +867,6 @@ def _cmd_partition(args: argparse.Namespace) -> int:
     elif args.algorithm == "kwayx":
         assignment = list(res.assignment)
         print(res.summary())
-    elif args.algorithm == "rp0":
-        # The replicated netlist has extra cells; only the verdict is
-        # reported (the assignment refers to the transformed netlist).
-        assignment = None
-        print(res.summary())
     else:  # fbb / pack report block lists
         assignment = [0] * hg.num_cells
         for b, block in enumerate(res.blocks):
@@ -881,7 +874,7 @@ def _cmd_partition(args: argparse.Namespace) -> int:
                 assignment[c] = b
         print(res.summary())
 
-    if args.output and assignment is not None:
+    if args.output:
         with open(args.output, "w", encoding="ascii") as stream:
             for cell, block in enumerate(assignment):
                 stream.write(f"{hg.cell_label(cell)} {block}\n")

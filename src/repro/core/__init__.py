@@ -1,7 +1,8 @@
-"""FPART core: the paper's contribution.
+"""FPART core: the paper's contribution and nothing beyond it.
 
 Device model, feasibility/cost machinery, move regions, solution stacks,
-the improvement driver and the Algorithm 1 partitioner.
+the improvement driver and the Algorithm 1 partitioner, plus the run
+guard, checkpoints and interrupt handling a long run needs.
 """
 
 from .checkpoint import (
@@ -45,13 +46,6 @@ from .feasibility import (
     solution_points,
 )
 from .fpart import FpartPartitioner, FpartResult, ImproveTraceEntry, fpart
-from .heterogeneous import (
-    XILINX_LIBRARY,
-    DeviceLibrary,
-    HeterogeneousResult,
-    PricedDevice,
-    partition_heterogeneous,
-)
 from .improve import improve
 from .interrupt import GracefulInterrupt
 from .move_region import MoveRegion
@@ -109,11 +103,6 @@ __all__ = [
     "FpartResult",
     "ImproveTraceEntry",
     "fpart",
-    "PricedDevice",
-    "DeviceLibrary",
-    "XILINX_LIBRARY",
-    "HeterogeneousResult",
-    "partition_heterogeneous",
     "PartitioningError",
     "UnpartitionableError",
     "IterationLimitError",

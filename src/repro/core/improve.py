@@ -50,16 +50,14 @@ def improve(
     device: Device,
     config: FpartConfig,
     lower_bound: int,
-    use_stacks: bool = True,
     guard: RunGuard = NULL_GUARD,
     metrics: MetricsRegistry = NULL_METRICS,
     tracer: TraceWriter = NULL_TRACE,
 ) -> SolutionCost:
     """Improve the partition among ``blocks``; returns the final cost.
 
-    The state ends at the best solution found.  ``use_stacks=False``
-    disables the restart protocol (single run) — used for the cheap extra
-    FM calls at ``k = M`` and by ablations.
+    The state ends at the best solution found.  ``config.stack_depth``
+    of 0 disables the restart protocol (a single engine run).
 
     The ``guard`` is consulted per applied move inside the engine and
     between stacked restarts.  When a budget trips (or a fault escapes
@@ -87,7 +85,7 @@ def improve(
             metrics, tracer,
         )
 
-    stacks = DualSolutionStacks(config.stack_depth if use_stacks else 0)
+    stacks = DualSolutionStacks(config.stack_depth)
     metrics.counter("improve.calls").inc()
 
     def collect(cost: SolutionCost) -> None:
@@ -106,7 +104,7 @@ def improve(
     best_cost: SolutionCost = None  # type: ignore[assignment]
     best_assignment = state.assignment()
     try:
-        first = make_engine().run(observer=collect if use_stacks else None)
+        first = make_engine().run(observer=collect)
         best_cost = first.best_cost
         best_assignment = state.assignment()
 

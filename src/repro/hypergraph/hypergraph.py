@@ -53,8 +53,8 @@ class Hypergraph:
     net_drivers:
         Optional per-net driver cell (the pin that sources the signal),
         ``None`` for nets with unknown or external drivers.  Plain
-        min-cut partitioning ignores direction; the replication
-        enhancement ([11]/[12]-style) requires it.
+        min-cut partitioning ignores direction; BLIF import, ``.nets``
+        I/O and :func:`split_into_devices` carry it through.
     """
 
     __slots__ = (

@@ -129,17 +129,6 @@ def lint_netlist(
             )
         )
 
-    # Missing driver annotations (replication unavailable).
-    if hg.num_nets and not hg.has_drivers():
-        findings.append(
-            LintFinding(
-                "info",
-                "no-drivers",
-                "no driver annotations; replication-based flows are "
-                "unavailable on this netlist",
-            )
-        )
-
     findings.sort(key=lambda f: (f.severity != "warning", f.code))
     return findings
 

@@ -7,6 +7,7 @@ from repro.core import (
     FpartConfig,
     improve,
 )
+from repro.obs.metrics import MetricsRegistry
 from repro.partition import PartitionState
 
 
@@ -49,17 +50,27 @@ class TestImprove:
         cost = run_improve(state, [0, 1], 1, small_device, m=4)
         assert evaluator.evaluate(state, 1).key == cost.key
 
-    def test_stacks_can_only_help(self, medium_circuit, small_device):
-        n = medium_circuit.num_cells
-        start = [0 if c < 30 else 1 for c in range(n)]
+    def test_stack_restarts_replay_the_single_run(
+        self, medium_circuit, small_device
+    ):
+        # A Sanchis pass is a deterministic function of the assignment,
+        # so a restart from a stacked pass end replays the first run's
+        # chain: the default depth lands where depth 0 does.
+        start = [c % 2 for c in range(medium_circuit.num_cells)]
 
         state_no = PartitionState.from_assignment(medium_circuit, list(start))
         cost_no = run_improve(
-            state_no, [0, 1], 1, small_device, m=4, use_stacks=False
+            state_no, [0, 1], 1, small_device, m=4,
+            config=FpartConfig(stack_depth=0),
         )
         state_yes = PartitionState.from_assignment(medium_circuit, list(start))
-        cost_yes = run_improve(state_yes, [0, 1], 1, small_device, m=4)
-        assert cost_yes <= cost_no
+        metrics = MetricsRegistry()
+        cost_yes = run_improve(
+            state_yes, [0, 1], 1, small_device, m=4, metrics=metrics
+        )
+        assert metrics.counter("stack.pops").value > 0  # restarts ran
+        assert cost_yes.key == cost_no.key
+        assert state_yes.assignment() == state_no.assignment()
 
     def test_zero_depth_config_single_run(self, two_clusters, tiny_device):
         config = FpartConfig(stack_depth=0)

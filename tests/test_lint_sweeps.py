@@ -13,11 +13,10 @@ class TestLint:
         hg = generate_circuit("clean", num_cells=60, num_ios=8, seed=1)
         findings = lint_netlist(hg)
         codes = {f.code for f in findings}
-        # A generated circuit has drivers, is connected (usually) and
-        # has no dangling cells / trivial nets.
+        # A generated circuit is connected (usually) and has no
+        # dangling cells / trivial nets.
         assert "dangling-cells" not in codes
         assert "trivial-nets" not in codes
-        assert "no-drivers" not in codes
 
     def test_dangling_cell(self):
         hg = Hypergraph([1, 1, 1], [(0, 1)])

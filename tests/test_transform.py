@@ -1,6 +1,8 @@
 """Netlist transformation utilities."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import fpart
 from repro.hypergraph import (
@@ -136,3 +138,72 @@ class TestRelabel:
         clone = relabel(chain4)
         assert clone.name == chain4.name
         assert clone == chain4
+
+
+@st.composite
+def driven_hypergraphs(draw, max_cells=10, max_nets=14):
+    """Random hypergraphs where every net has a known driver."""
+    num_cells = draw(st.integers(2, max_cells))
+    sizes = draw(
+        st.lists(st.integers(1, 4), min_size=num_cells, max_size=num_cells)
+    )
+    num_nets = draw(st.integers(1, max_nets))
+    nets = []
+    drivers = []
+    for _ in range(num_nets):
+        degree = draw(st.integers(1, min(5, num_cells)))
+        pins = draw(
+            st.lists(
+                st.integers(0, num_cells - 1),
+                min_size=degree,
+                max_size=degree,
+                unique=True,
+            )
+        )
+        nets.append(tuple(pins))
+        drivers.append(pins[draw(st.integers(0, degree - 1))])
+    num_pads = draw(st.integers(0, 3))
+    terminal_nets = draw(
+        st.lists(
+            st.integers(0, num_nets - 1),
+            min_size=num_pads,
+            max_size=num_pads,
+        )
+    )
+    return Hypergraph(sizes, nets, terminal_nets, net_drivers=drivers)
+
+
+class TestTransformProperties:
+    @given(driven_hypergraphs(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_split_partitions_cells(self, hg, data):
+        k = data.draw(st.integers(1, 3))
+        assignment = data.draw(
+            st.lists(
+                st.integers(0, k - 1),
+                min_size=hg.num_cells,
+                max_size=hg.num_cells,
+            )
+        )
+        pieces = split_into_devices(hg, assignment, k)
+        seen = sorted(
+            parent
+            for piece in pieces
+            for parent in piece.cell_to_parent
+        )
+        assert seen == list(range(hg.num_cells))
+
+    @given(driven_hypergraphs(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_merge_conserves_size(self, hg, data):
+        group = data.draw(
+            st.sets(
+                st.integers(0, hg.num_cells - 1),
+                min_size=1,
+                max_size=hg.num_cells,
+            )
+        )
+        merged, cell_map = merge_cells(hg, [sorted(group)])
+        assert merged.total_size == hg.total_size
+        assert len(cell_map) == hg.num_cells
+        assert merged.num_cells == hg.num_cells - len(group) + 1
