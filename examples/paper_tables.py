@@ -3,7 +3,7 @@
 
 Shows the experiment harness end-to-end: run the measured methods on a
 couple of Table 2 circuits, print the comparison against the published
-columns, a config sweep over the solution-stack depth, and keep the raw
+columns, a config sweep over the pass cap (`max_passes`), and keep the raw
 records in a run store that ``fpart history --runs-dir DIR`` lists.
 
 Run:  python examples/paper_tables.py
@@ -41,8 +41,8 @@ def main() -> None:
     # 2. A custom ablation via the sweep utility.
     print()
     hgs = [mcnc_circuit(name, "XC3000") for name in circuits]
-    cells = sweep_config(hgs, XC3020, "stack_depth", [0, 2, 4])
-    print(render_sweep(cells, "stack_depth"))
+    cells = sweep_config(hgs, XC3020, "max_passes", [1, 2, 8])
+    print(render_sweep(cells, "max_passes"))
 
     # 3. The machine-readable records: one JSON line per cell.
     print(f"\nrun records in {Path(runs_dir) / 'index.jsonl'}")

@@ -1,7 +1,7 @@
 """FPART core: the paper's contribution and nothing beyond it.
 
-Device model, feasibility/cost machinery, move regions, solution stacks,
-the improvement driver and the Algorithm 1 partitioner, plus the run
+Device model, feasibility/cost machinery, move regions, the
+improvement driver and the Algorithm 1 partitioner, plus the run
 guard, checkpoints and interrupt handling a long run needs.
 """
 
@@ -55,7 +55,6 @@ from .runguard import (
     RunGuard,
     default_iteration_cap,
 )
-from .solution_stack import DualSolutionStacks, SolutionStack
 from .strategy import (
     ImproveStep,
     free_space,
@@ -90,8 +89,6 @@ __all__ = [
     "make_evaluator",
     "GracefulInterrupt",
     "MoveRegion",
-    "SolutionStack",
-    "DualSolutionStacks",
     "improve",
     "free_space",
     "select_min_size",

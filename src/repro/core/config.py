@@ -4,8 +4,11 @@ All defaults equal the values used for the published experiments:
 
     sigma1 = sigma2 = 0.5, N_small = 15,
     lambda_S = 0.4, lambda_T = 0.6, lambda_R = 0.1,
-    eps*_max = eps2_max = 1.05, eps*_min = 0.3, eps2_min = 0.95,
-    D_stack = 4.
+    eps*_max = eps2_max = 1.05, eps*_min = 0.3, eps2_min = 0.95.
+
+The paper's stack depth ``D_stack = 4`` (section 3.6) has no field: a
+restart from a stacked pass end replays the first engine run, so
+``Improve()`` is one run (see ``repro.core.improve``).
 
 Epsilon reading
 ---------------
@@ -28,7 +31,7 @@ literal ``(1 - eps) / (1 + eps)`` formulas for ablation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 __all__ = ["FpartConfig", "DEFAULT_CONFIG"]
@@ -74,11 +77,6 @@ class FpartConfig:
     """If True, use the paper's literal window formulas
     (floor = (1 - eps_min) * S_MAX, cap = (1 + eps_max) * S_MAX) instead
     of the multiplier reading (see module docstring)."""
-
-    # --- solution stacks (section 3.6) -----------------------------------
-    stack_depth: int = 4
-    """``D_stack``: best semi-feasible / infeasible solutions kept; up to
-    ``2 * D_stack + 1`` starting solutions are explored per Improve call."""
 
     # --- iterative-improvement engine -------------------------------------
     max_passes: int = 8
@@ -143,8 +141,6 @@ class FpartConfig:
     def __post_init__(self) -> None:
         if self.n_small < 0:
             raise ValueError("n_small must be non-negative")
-        if self.stack_depth < 0:
-            raise ValueError("stack_depth must be non-negative")
         if self.max_passes < 1:
             raise ValueError("max_passes must be at least 1")
         for name in ("sigma1", "sigma2", "lambda_s", "lambda_t", "lambda_r"):
@@ -192,11 +188,6 @@ class FpartConfig:
         if self.literal_epsilons:
             return 1.0 - eps
         return eps
-
-    def fast(self) -> "FpartConfig":
-        """A cheaper profile for large circuits / CI: smaller stack and
-        fewer passes.  Quality degrades slightly; see the ablation bench."""
-        return replace(self, stack_depth=1, max_passes=4)
 
 
 DEFAULT_CONFIG = FpartConfig()

@@ -692,11 +692,11 @@ class FpartPartitioner:
         remainder: int,
     ) -> None:
         """Offer the interrupted state itself — it can beat the tracker
-        (e.g. a budget tripping inside ``improve()`` after its internal
-        best was restored but before the driver re-offered it).  The
-        evaluator may be the very component that faulted, so a second
-        failure here is swallowed: the tracker then simply keeps its
-        last recorded best.
+        (e.g. a budget tripping inside ``improve()``: the interrupted
+        pass rewound to its best prefix, which the driver has not
+        offered yet).  The evaluator may be the very component that
+        faulted, so a second failure here is swallowed: the tracker then
+        simply keeps its last recorded best.
         """
         try:
             best.offer(evaluator.evaluate(state, remainder), state, remainder)

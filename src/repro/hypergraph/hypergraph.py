@@ -246,18 +246,6 @@ class Hypergraph:
         """True when at least one net carries driver information."""
         return any(d is not None for d in self._net_drivers)
 
-    def driven_nets(self, cell: int) -> List[int]:
-        """Nets whose recorded driver is ``cell``."""
-        return [
-            e for e in self._cell_nets[cell] if self._net_drivers[e] == cell
-        ]
-
-    def read_nets(self, cell: int) -> List[int]:
-        """Nets incident to ``cell`` that it does not drive."""
-        return [
-            e for e in self._cell_nets[cell] if self._net_drivers[e] != cell
-        ]
-
     # ------------------------------------------------------------------
     # Traversal
     # ------------------------------------------------------------------

@@ -73,7 +73,6 @@ EVENT_TYPES = (
     "run_start",
     "pass_start",
     "move_batch",
-    "solution_push",
     "lex_improve",
     "checkpoint",
     "progress",
@@ -87,7 +86,6 @@ REQUIRED_FIELDS: Dict[str, Tuple[str, ...]] = {
     "run_start": ("circuit", "device", "lower_bound", "budget", "guard"),
     "pass_start": ("pass_index", "blocks", "cost"),
     "move_batch": ("moves", "key"),
-    "solution_push": ("stack", "cost"),
     "lex_improve": ("iteration", "cost"),
     "checkpoint": ("iteration", "guard"),
     "progress": ("iteration", "moves", "elapsed_seconds"),

@@ -62,7 +62,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.config import FpartConfig
 from ..core.cost import CostEvaluator, IncrementalCostEvaluator, SolutionCost
@@ -94,11 +94,6 @@ _Entry = Tuple[int, int, int, int, int]
 # dir_heap entry: (-g1, -g2, -seq, from_block, to_block) — a direction
 # head's key at some point in time, validated lazily at pop.
 _DirEntry = Tuple[int, int, int, int, int]
-
-# Callback invoked with the pass-best cost; the engine's state is at that
-# solution when the callback runs (used for solution-stack collection).
-PassObserver = Callable[[SolutionCost], None]
-
 
 @dataclass(frozen=True)
 class SanchisResult:
@@ -584,12 +579,11 @@ class SanchisEngine:
     # Runs
     # ------------------------------------------------------------------
 
-    def run(self, observer: Optional[PassObserver] = None) -> SanchisResult:
+    def run(self) -> SanchisResult:
         """Passes until one fails to improve (or ``max_passes``).
 
-        ``observer`` is called after each pass with the pass-best cost
-        while the state sits at that solution — the hook the FPART driver
-        uses to feed the solution stacks.
+        Every pass rewinds to its best prefix, so the state ends at the
+        run's best solution.
         """
         initial_cost = self.evaluator.evaluate(self.state, self.remainder)
         best_cost = initial_cost
@@ -611,8 +605,6 @@ class SanchisEngine:
             passes += 1
             total_moves += moves
             entry_cost = pass_cost
-            if observer is not None:
-                observer(pass_cost)
             if pass_cost < best_cost:
                 best_cost = pass_cost
             else:

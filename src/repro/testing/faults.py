@@ -6,8 +6,8 @@ every solve-path component funnels through: ``create_bipartition`` and
 the driver call ``evaluate()``, the Sanchis engine calls ``key_of()``
 per candidate move and ``cost_of()`` per pass.  Wrapping it therefore
 lets tests detonate an exception (or inject latency) at an *arbitrary
-depth* of the real call graph — mid-pass inside the engine, between
-stacked restarts, during bipartitioning — and then assert that:
+depth* of the real call graph — mid-pass inside the engine, during
+bipartitioning — and then assert that:
 
 * the run degrades to a valid best-so-far :class:`FpartResult` instead
   of crashing (non-strict mode), and re-raises faithfully under

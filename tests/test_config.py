@@ -17,7 +17,6 @@ class TestDefaults:
         assert c.eps_max_multi == c.eps_max_two == 1.05
         assert c.eps_min_multi == 0.3
         assert c.eps_min_two == 0.95
-        assert c.stack_depth == 4
 
     def test_io_weight_dominates_size_weight(self):
         assert DEFAULT_CONFIG.lambda_t > DEFAULT_CONFIG.lambda_s
@@ -26,19 +25,13 @@ class TestDefaults:
         with pytest.raises(dataclasses.FrozenInstanceError):
             DEFAULT_CONFIG.n_small = 3  # type: ignore[misc]
 
-    def test_fast_profile(self):
-        fast = DEFAULT_CONFIG.fast()
-        assert fast.stack_depth < DEFAULT_CONFIG.stack_depth
-        assert fast.max_passes < DEFAULT_CONFIG.max_passes
-        assert fast.lambda_t == DEFAULT_CONFIG.lambda_t  # rest untouched
-
 
 class TestValidation:
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"n_small": -1},
-            {"stack_depth": -1},
+            {"max_moves": -1},
             {"max_passes": 0},
             {"sigma1": -0.1},
             {"lambda_s": -0.1},
@@ -61,7 +54,7 @@ class TestValidation:
         "kwargs",
         [
             {"n_small": 0},
-            {"stack_depth": 0},
+            {"max_moves": 0},
             {"max_passes": 1},
             {"improvement_strategy": "none"},
             {"improvement_strategy": "last_pair"},

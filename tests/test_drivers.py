@@ -16,8 +16,9 @@ class TestHypergraphDrivers:
     def test_default_no_drivers(self, chain4):
         assert not chain4.has_drivers()
         assert chain4.net_driver(0) is None
-        assert chain4.driven_nets(0) == []
-        assert chain4.read_nets(1) == [0, 1]
+        assert all(
+            chain4.net_driver(e) is None for e in range(chain4.num_nets)
+        )
 
     def test_explicit_drivers(self):
         hg = Hypergraph(
@@ -25,8 +26,8 @@ class TestHypergraphDrivers:
         )
         assert hg.has_drivers()
         assert hg.net_driver(0) == 0
-        assert hg.driven_nets(1) == [1]
-        assert hg.read_nets(1) == [0]
+        assert hg.net_driver(1) == 1
+        assert hg.net_drivers == (0, 1)
 
     def test_partial_drivers(self):
         hg = Hypergraph(

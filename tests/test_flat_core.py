@@ -233,10 +233,10 @@ GOLDEN = {
     "kwayx": "181055558c2349005b4c42f8e4c4657237296b2052d2e06eaf43c1a68102c910",
 }
 
-#: ``config_digest(DEFAULT_CONFIG)`` since ``pass_stall_limit``
-#: defaults to 128 (multi-block passes only); older checkpoints fail
+#: ``config_digest(DEFAULT_CONFIG)`` since ``stack_depth`` left the
+#: config (Improve() is one engine run); older checkpoints fail
 #: ``--resume`` with a CheckpointError.
-DEFAULT_CONFIG_DIGEST = "2e5439954d4b60bf"
+DEFAULT_CONFIG_DIGEST = "652e0c664e35ec50"
 
 
 class TestWholeRunBitIdentity:

@@ -125,7 +125,7 @@ class TestErrors:
 
 class TestConfigurations:
     def test_fast_profile_still_feasible(self, medium_circuit, small_device):
-        config = FpartConfig().fast()
+        config = FpartConfig(max_passes=4)
         result = fpart(medium_circuit, small_device, config)
         assert result.feasible
 

@@ -1,14 +1,21 @@
-"""The Improve() driver: stack restarts and monotone improvement."""
+"""The Improve() driver: one engine run and monotone improvement."""
 
+import pytest
+
+from repro.circuits import generate_circuit
 from repro.core import (
     DEFAULT_CONFIG,
+    XC3020,
+    BudgetExhaustedError,
     CostEvaluator,
-    Device,
     FpartConfig,
+    RunBudget,
+    RunGuard,
     improve,
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.partition import PartitionState
+from repro.sanchis import SanchisEngine
 
 
 def run_improve(state, blocks, remainder, device, m, config=DEFAULT_CONFIG, **kw):
@@ -50,35 +57,47 @@ class TestImprove:
         cost = run_improve(state, [0, 1], 1, small_device, m=4)
         assert evaluator.evaluate(state, 1).key == cost.key
 
-    def test_stack_restarts_replay_the_single_run(
-        self, medium_circuit, small_device
+    def test_one_engine_run_per_call(
+        self, medium_circuit, small_device, monkeypatch
     ):
-        # A Sanchis pass is a deterministic function of the assignment,
-        # so a restart from a stacked pass end replays the first run's
-        # chain: the default depth lands where depth 0 does.
-        start = [c % 2 for c in range(medium_circuit.num_cells)]
+        runs = []
+        engine_run = SanchisEngine.run
 
-        state_no = PartitionState.from_assignment(medium_circuit, list(start))
-        cost_no = run_improve(
-            state_no, [0, 1], 1, small_device, m=4,
-            config=FpartConfig(stack_depth=0),
-        )
-        state_yes = PartitionState.from_assignment(medium_circuit, list(start))
-        metrics = MetricsRegistry()
-        cost_yes = run_improve(
-            state_yes, [0, 1], 1, small_device, m=4, metrics=metrics
-        )
-        assert metrics.counter("stack.pops").value > 0  # restarts ran
-        assert cost_yes.key == cost_no.key
-        assert state_yes.assignment() == state_no.assignment()
+        def counting_run(engine):
+            runs.append(engine)
+            return engine_run(engine)
 
-    def test_zero_depth_config_single_run(self, two_clusters, tiny_device):
-        config = FpartConfig(stack_depth=0)
+        monkeypatch.setattr(SanchisEngine, "run", counting_run)
         state = PartitionState.from_assignment(
-            two_clusters, [0, 1, 1, 1, 1, 1, 1, 1]
+            medium_circuit, [c % 2 for c in range(medium_circuit.num_cells)]
         )
-        cost = run_improve(state, [0, 1], 1, tiny_device, m=2, config=config)
-        assert cost.feasible_blocks == 2  # easy case still solved
+        metrics = MetricsRegistry()
+        run_improve(state, [0, 1], 1, small_device, m=4, metrics=metrics)
+        assert len(runs) == metrics.counter("improve.calls").value == 1
+
+    def test_budget_trip_keeps_best_seen(self):
+        # The move budget trips in the second pass, after the first pass
+        # has already improved on the start: the state must hold the
+        # best solution seen, not the call's start.
+        hg = generate_circuit("trip", 380, 50, seed=7)
+        start = [c % 2 for c in range(hg.num_cells)]
+        state = PartitionState.from_assignment(hg, list(start))
+        evaluator = CostEvaluator(XC3020, DEFAULT_CONFIG, 2, hg.num_terminals)
+        start_cost = evaluator.evaluate(state, 1)
+
+        one_pass = FpartConfig(max_passes=1)
+        first = PartitionState.from_assignment(hg, list(start))
+        first_pass_cost = run_improve(
+            first, [0, 1], 1, XC3020, m=2, config=one_pass
+        )
+        assert first_pass_cost < start_cost
+
+        guard = RunGuard(RunBudget(max_moves=400))
+        guard.start()
+        with pytest.raises(BudgetExhaustedError):
+            run_improve(state, [0, 1], 1, XC3020, m=2, guard=guard)
+        state.check_consistency()
+        assert evaluator.evaluate(state, 1) <= first_pass_cost
 
     def test_deterministic(self, medium_circuit, small_device):
         n = medium_circuit.num_cells

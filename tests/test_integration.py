@@ -102,11 +102,6 @@ class TestConfigAblation:
         )
         assert full.num_devices <= cut_only.num_devices
 
-    def test_stack_depth_zero_still_feasible(self):
-        hg = mcnc_circuit("c3540", "XC3000")
-        result = fpart(hg, XC3020, FpartConfig(stack_depth=0))
-        assert result.feasible
-
 
 class TestRobustness:
     def test_disconnected_circuit(self, small_device):

@@ -139,7 +139,7 @@ class TestEndToEndProperty:
             f"prop{seed}", num_cells=cells, num_ios=ios, seed=seed
         )
         device = Device("PP", s_ds=30, t_max=25, delta=1.0)
-        result = fpart(hg, device, FpartConfig().fast())
+        result = fpart(hg, device, FpartConfig(max_passes=4))
         report = validate_assignment(
             hg, result.assignment, device, result.num_devices
         )

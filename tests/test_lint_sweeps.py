@@ -91,11 +91,11 @@ class TestSweep:
 
     def test_sweep_shape(self, circuits):
         cells = sweep_config(
-            circuits, self.DEV, "stack_depth", [0, 4]
+            circuits, self.DEV, "max_passes", [1, 4]
         )
         assert len(cells) == 4
         assert all(c.feasible for c in cells)
-        assert {c.value for c in cells} == {0, 4}
+        assert {c.value for c in cells} == {1, 4}
 
     def test_unknown_field(self, circuits):
         with pytest.raises(ValueError, match="unknown config field"):
@@ -103,7 +103,7 @@ class TestSweep:
 
     def test_invalid_value_propagates(self, circuits):
         with pytest.raises(ValueError):
-            sweep_config(circuits[:1], self.DEV, "stack_depth", [-1])
+            sweep_config(circuits[:1], self.DEV, "max_passes", [0])
 
     def test_render(self, circuits):
         cells = sweep_config(

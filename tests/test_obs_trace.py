@@ -127,7 +127,6 @@ def _valid_stream():
     writer.emit("pass_start", pass_index=0, blocks=[0, 1],
                 cost=cost_fields(FakeCost()))
     writer.emit("move_batch", moves=64, key=[1, 2.0, 3, 4.0])
-    writer.emit("solution_push", stack="f1", cost=cost_fields(FakeCost()))
     writer.emit("lex_improve", iteration=0, cost=cost_fields(FakeCost()))
     writer.emit("checkpoint", iteration=0, guard={})
     writer.emit("progress", iteration=1, moves=64, elapsed_seconds=0.5)
@@ -221,7 +220,7 @@ class TestCliValidator:
         path = self._write(tmp_path, _valid_stream())
         assert obs_main(["trace", str(path)]) == 0
         out = capsys.readouterr().out
-        assert "10 events OK" in out
+        assert "9 events OK" in out
         assert "run_start=1" in out
 
     def test_invalid_file_exits_one(self, tmp_path, capsys):

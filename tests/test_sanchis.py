@@ -92,15 +92,6 @@ class TestMultiWayImprovement:
         assert result.best_cost <= result.initial_cost
         state.check_consistency()
 
-    def test_observer_called_per_pass(self, two_clusters, tiny_device):
-        state = PartitionState.from_assignment(
-            two_clusters, [0, 1, 0, 1, 0, 1, 0, 1]
-        )
-        engine = make_engine(state, tiny_device, [0, 1], remainder=1, m=2)
-        seen = []
-        result = engine.run(observer=seen.append)
-        assert len(seen) == result.passes
-
     def test_max_passes_respected(self, medium_circuit, small_device):
         config = FpartConfig(max_passes=1)
         n = medium_circuit.num_cells
